@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race check benchsmoke calibratesmoke obssmoke chaossmoke reportsmoke servesmoke reqsmoke walsmoke fuzz bench benchdiff benchreport microbench experiments examples clean
+.PHONY: all build vet test race check benchsmoke calibratesmoke obssmoke chaossmoke reportsmoke servesmoke reqsmoke walsmoke perfbenchtest fuzz bench benchdiff benchreport microbench experiments examples clean
 
 # The default verify path is `make check`: build + vet + tests + the race
 # detector on the small-graph packages.
@@ -83,7 +83,15 @@ reqsmoke:
 walsmoke:
 	sh scripts/walsmoke.sh
 
-check: build test race benchsmoke calibratesmoke obssmoke chaossmoke reportsmoke servesmoke reqsmoke walsmoke
+# perfbench/ is a nested module (its own go.mod, `replace cncount => ../`)
+# importing the root packages, so the root build and test never compile
+# it; vet and test it separately so an internal-API change that breaks
+# the benchmark fails here.
+perfbenchtest:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
+
+check: build test race benchsmoke calibratesmoke obssmoke chaossmoke reportsmoke servesmoke reqsmoke walsmoke perfbenchtest
 
 # Short fuzzing pass over every fuzz target.
 fuzz:

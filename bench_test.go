@@ -421,10 +421,12 @@ func BenchmarkAblationBitmapClear(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationScheduling compares the dynamic fixed-chunk scheduler
-// the paper (and core) use against OpenMP-style guided scheduling, on a
-// deliberately imbalanced workload (per-unit cost grows with the index, as
-// hub vertices do at the front of a degree-ordered graph).
+// BenchmarkAblationScheduling compares the fixed-chunk dynamic schedule
+// the paper (and core) use against a static one, both on the one
+// work-stealing runtime, on a deliberately imbalanced workload (a few
+// units are much more expensive, as hub vertices are). The dynamic arm
+// runs |T| = 512; the static arm runs |T| = ⌈n/workers⌉, so each worker's
+// slab is one task and there is nothing left to steal.
 func BenchmarkAblationScheduling(b *testing.B) {
 	const n = 1 << 16
 	work := func(i int64) int64 {
@@ -446,21 +448,20 @@ func BenchmarkAblationScheduling(b *testing.B) {
 		}
 		_ = s
 	}
-	b.Run("dynamic", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sched.Dynamic(n, 512, 0, body)
-		}
-	})
-	b.Run("guided", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sched.Guided(n, 512, 0, body)
-		}
-	})
-	b.Run("static", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sched.Static(n, 0, body)
-		}
-	})
+	workers := sched.Workers(0)
+	for _, arm := range []struct {
+		name     string
+		taskSize int
+	}{
+		{"dynamic", 512},
+		{"static", (n + workers - 1) / workers},
+	} {
+		b.Run(arm.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				sched.Run(n, arm.taskSize, workers, sched.Obs{}, body)
+			}
+		})
+	}
 }
 
 // BenchmarkAblationOrdering compares vertex orderings for BMP: the paper's

@@ -40,6 +40,7 @@ import (
 	"time"
 
 	"cncount"
+	"cncount/internal/graph"
 	"cncount/internal/logx"
 	"cncount/internal/obs"
 )
@@ -489,7 +490,7 @@ func loadOrGenerate(path, profile string, scale float64, mc *cncount.Metrics, tr
 	case path != "" && profile != "":
 		return nil, "", fmt.Errorf("pass either -graph or -profile, not both")
 	case path != "":
-		g, err := cncount.LoadGraphObserved(path, mc, tr)
+		g, err := graph.LoadFile(path, mc, tr)
 		return g, path, err
 	case profile != "":
 		stop, span := mc.StartPhase("generate"), tr.Span("generate")

@@ -66,6 +66,7 @@ import (
 
 	"cncount"
 	"cncount/internal/dynamic"
+	"cncount/internal/graph"
 	"cncount/internal/logx"
 	"cncount/internal/metrics"
 	"cncount/internal/obs"
@@ -419,7 +420,7 @@ func loadGraph(cfg appConfig, mc *metrics.Collector) (*cncount.Graph, string, er
 	case cfg.graphPath != "" && cfg.profile != "":
 		return nil, "", errors.New("pass -graph or -profile, not both")
 	case cfg.graphPath != "":
-		g, err := cncount.LoadGraphMetrics(cfg.graphPath, mc)
+		g, err := graph.LoadFile(cfg.graphPath, mc, nil)
 		return g, cfg.graphPath, err
 	case cfg.profile != "":
 		stop := mc.StartPhase("generate")

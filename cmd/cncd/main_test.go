@@ -261,22 +261,30 @@ func TestDaemonAdmission429E2E(t *testing.T) {
 	}()
 	base := "http://" + waitAddr(t, &out, 60*time.Second)
 
-	// Hold the only slot with a slow sequential recount.
+	// Hold the only slot with a slow sequential recount. The probes below
+	// race it for the slot; a recount turned away because a probe held
+	// the slot when it arrived retries until it is admitted.
+	deadline := time.Now().Add(30 * time.Second)
 	countDone := make(chan error, 1)
 	go func() {
-		resp, err := http.Get(base + "/v1/count?algo=m&workers=1&timeout_ms=120000")
-		if err == nil {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				err = fmt.Errorf("recount = %d", resp.StatusCode)
+		for {
+			resp, err := http.Get(base + "/v1/count?algo=m&workers=1&timeout_ms=120000")
+			if err == nil {
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode == http.StatusTooManyRequests && time.Now().Before(deadline) {
+					continue
+				}
+				if resp.StatusCode != http.StatusOK {
+					err = fmt.Errorf("recount = %d", resp.StatusCode)
+				}
 			}
+			countDone <- err
+			return
 		}
-		countDone <- err
 	}()
 
 	// While it runs, everything else must bounce with 429.
-	deadline := time.Now().Add(30 * time.Second)
 	saw429 := false
 	for !saw429 && time.Now().Before(deadline) {
 		status, hdr, _ := get(t, base+"/v1/info")

@@ -118,7 +118,7 @@ func NewGraph(numVertices int, edges []Edge) (*Graph, error) {
 // NewGraphParallel is NewGraph with the construction phases parallelized
 // across workers (< 1 = all cores); prefer it for very large edge lists.
 func NewGraphParallel(numVertices int, edges []Edge, workers int) (*Graph, error) {
-	return graph.FromEdgesParallel(numVertices, edges, workers)
+	return graph.FromEdgesParallel(numVertices, edges, workers, nil)
 }
 
 // ConnectedComponents labels each vertex with its connected component and
@@ -149,27 +149,10 @@ func ReorderByDegeneracy(g *Graph) (*Graph, *Reordering) {
 	return graph.ReorderByDegeneracy(g)
 }
 
-// LoadGraph reads a graph from a text edge list, or from the binary CSR
-// format when the path ends in ".bin".
-func LoadGraph(path string) (*Graph, error) { return graph.LoadFile(path) }
-
-// LoadGraphMetrics is LoadGraph recording parse/build phase durations into
-// mc (nil disables collection).
-func LoadGraphMetrics(path string, mc *Metrics) (*Graph, error) {
-	return graph.LoadFileMetrics(path, mc)
-}
-
-// LoadGraphObserved is LoadGraphMetrics additionally emitting parse/build
-// spans onto the tracer's timeline (either observer may be nil).
-func LoadGraphObserved(path string, mc *Metrics, tr *Tracer) (*Graph, error) {
-	return graph.LoadFileObserved(path, mc, tr)
-}
-
-// NewGraphParallelMetrics is NewGraphParallel recording per-stage build
-// phase durations into mc (nil disables collection).
-func NewGraphParallelMetrics(numVertices int, edges []Edge, workers int, mc *Metrics) (*Graph, error) {
-	return graph.FromEdgesParallelMetrics(numVertices, edges, workers, mc)
-}
+// LoadGraph reads a graph from the binary CSR format when the path ends
+// in ".bin", from a METIS adjacency file when it ends in ".metis" or
+// ".graph", and from a text edge list otherwise.
+func LoadGraph(path string) (*Graph, error) { return graph.LoadFile(path, nil, nil) }
 
 // SaveGraph writes a graph in the format implied by the path extension.
 func SaveGraph(path string, g *Graph) error { return graph.SaveFile(path, g) }

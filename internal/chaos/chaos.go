@@ -206,7 +206,7 @@ func (in *Injector) Step() {
 }
 
 // WrapBody returns body with one Step injected before each call, the
-// shape scheduler stress tests pass to sched.*Observed.
+// shape scheduler stress tests pass to sched.Run.
 func (in *Injector) WrapBody(body func(worker int, lo, hi int64)) func(worker int, lo, hi int64) {
 	if in == nil {
 		return body

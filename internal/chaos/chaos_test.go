@@ -97,7 +97,7 @@ func TestPanicDrain(t *testing.T) {
 				t.Errorf("panic value %v is not ErrInjected", pe.Value)
 			}
 		}()
-		sched.Dynamic(n, taskSize, workers, body)
+		sched.Run(n, taskSize, workers, sched.Obs{}, body)
 	}()
 
 	// A panic fires before its task's body work, so each of the k panics
@@ -123,7 +123,7 @@ func TestCancellationUnderChaos(t *testing.T) {
 			cancel()
 		}
 	})
-	err := sched.DynamicObserved(n, taskSize, workers, sched.Obs{Ctx: ctx, Scope: "chaos"}, body)
+	err := sched.Run(n, taskSize, workers, sched.Obs{Ctx: ctx, Scope: "chaos"}, body)
 	var ce *sched.CancelError
 	if !errors.As(err, &ce) {
 		t.Fatalf("err = %v, want *CancelError", err)
@@ -161,7 +161,7 @@ func TestWatchdogAbortsStalledRun(t *testing.T) {
 	defer wd.Stop()
 
 	start := time.Now()
-	err := sched.DynamicObserved(n, taskSize, workers, sched.Obs{Ctx: ctx, Prog: prog, Scope: "stall"},
+	err := sched.Run(n, taskSize, workers, sched.Obs{Ctx: ctx, Prog: prog, Scope: "stall"},
 		in.WrapBody(func(_ int, _, _ int64) {}))
 	if !errors.Is(err, sched.ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled (watchdog abort)", err)
@@ -252,7 +252,7 @@ func TestSeededStress(t *testing.T) {
 						}
 					}
 				}()
-				err = sched.DynamicObserved(n, taskSize, workers, sched.Obs{Ctx: ctx, Scope: "stress"}, body)
+				err = sched.Run(n, taskSize, workers, sched.Obs{Ctx: ctx, Scope: "stress"}, body)
 				return false
 			}()
 

@@ -175,7 +175,7 @@ func Count(g *graph.CSR, opts Options) (*Result, error) {
 	body := makeBody(g, counts, contexts, opts)
 	stopCount := mc.StartPhase("core.count")
 	stopCountSpan := tr.Span("core.count")
-	schedErr := sched.DynamicObserved(numEdges, opts.TaskSize, opts.Threads, obs, body)
+	schedErr := sched.Run(numEdges, opts.TaskSize, opts.Threads, obs, body)
 	stopCountSpan()
 	stopCount()
 	elapsed := time.Since(start)

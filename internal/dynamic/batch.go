@@ -224,11 +224,8 @@ func (d *Graph) ApplyBatch(ops []Op, workers int) (BatchResult, error) {
 	if workers == 1 || len(keys) < batchParallelMin {
 		repair(0, int64(len(keys)))
 	} else {
-		err := sched.Dynamic(int64(len(keys)), batchTaskSize, workers,
+		sched.Run(int64(len(keys)), batchTaskSize, workers, sched.Obs{},
 			func(_ int, lo, hi int64) { repair(lo, hi) })
-		if err != nil {
-			return res, err
-		}
 	}
 	for i, k := range keys {
 		d.counts[k] = vals[i]

@@ -193,7 +193,7 @@ func modelPostTimes(g *graph.CSR, cfg Config) (assign, post time.Duration) {
 
 // assignReverseOffsets writes cnt[e(u,v)] = e(v,u) for u > v, in parallel.
 func assignReverseOffsets(g *graph.CSR, counts []uint32, threads int) {
-	sched.Static(int64(g.NumVertices()), threads, func(_ int, lo, hi int64) {
+	sched.Run(int64(g.NumVertices()), 0, threads, sched.Obs{}, func(_ int, lo, hi int64) {
 		for u := lo; u < hi; u++ {
 			for e := g.Off[u]; e < g.Off[u+1]; e++ {
 				v := g.Dst[e]
@@ -210,7 +210,7 @@ func assignReverseOffsets(g *graph.CSR, counts []uint32, threads int) {
 
 // remapReverseCounts finishes co-processing: cnt[e] = cnt[cnt[e]] for u > v.
 func remapReverseCounts(g *graph.CSR, counts []uint32, threads int) {
-	sched.Static(int64(g.NumVertices()), threads, func(_ int, lo, hi int64) {
+	sched.Run(int64(g.NumVertices()), 0, threads, sched.Obs{}, func(_ int, lo, hi int64) {
 		for u := lo; u < hi; u++ {
 			for e := g.Off[u]; e < g.Off[u+1]; e++ {
 				if uint32(u) > g.Dst[e] {
@@ -224,7 +224,7 @@ func remapReverseCounts(g *graph.CSR, counts []uint32, threads int) {
 // searchReverseCounts is the non-co-processed post phase: binary search
 // every reverse offset after the kernels complete.
 func searchReverseCounts(g *graph.CSR, counts []uint32, threads int) {
-	sched.Static(int64(g.NumVertices()), threads, func(_ int, lo, hi int64) {
+	sched.Run(int64(g.NumVertices()), 0, threads, sched.Obs{}, func(_ int, lo, hi int64) {
 		for u := lo; u < hi; u++ {
 			for e := g.Off[u]; e < g.Off[u+1]; e++ {
 				v := g.Dst[e]
@@ -265,7 +265,7 @@ func runKernels(g *graph.CSR, counts []uint32, cfg Config, passes, hostThreads i
 	for p := 0; p < passes; p++ {
 		vLo := uint32(int64(p) * int64(n) / int64(passes))
 		vHi := uint32(int64(p+1) * int64(n) / int64(passes))
-		sched.DynamicObserved(int64(n), 64, hostThreads, obs, func(worker int, lo, hi int64) {
+		sched.Run(int64(n), 64, hostThreads, obs, func(worker int, lo, hi int64) {
 			w := &workers[worker]
 			for ui := lo; ui < hi; ui++ {
 				u := uint32(ui)

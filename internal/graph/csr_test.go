@@ -91,7 +91,7 @@ func TestFromEdgesRejectsSentinelIDSpace(t *testing.T) {
 		build func(int, []Edge) (*CSR, error)
 	}{
 		{"FromEdges", FromEdges},
-		{"FromEdgesParallel", func(n int, e []Edge) (*CSR, error) { return FromEdgesParallel(n, e, 2) }},
+		{"FromEdgesParallel", func(n int, e []Edge) (*CSR, error) { return FromEdgesParallel(n, e, 2, nil) }},
 	} {
 		_, err := tc.build(tooMany, []Edge{{math.MaxUint32, 0}})
 		if err == nil {

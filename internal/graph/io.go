@@ -184,23 +184,12 @@ func readChunkedUint32(r io.Reader, count int) ([]uint32, error) {
 
 // LoadFile loads a graph from path, picking the format by extension:
 // ".bin" is the binary CSR format, ".metis" and ".graph" are METIS
-// adjacency files, and anything else is parsed as a text edge list.
-func LoadFile(path string) (*CSR, error) {
-	return LoadFileMetrics(path, nil)
-}
-
-// LoadFileMetrics is LoadFile recording phase durations into mc: a
-// "graph.parse" sample for reading/decoding the input and a "graph.build"
-// sample for CSR construction (binary CSR files decode directly and record
-// only the parse phase). A nil collector records nothing.
-func LoadFileMetrics(path string, mc *metrics.Collector) (*CSR, error) {
-	return LoadFileObserved(path, mc, nil)
-}
-
-// LoadFileObserved is LoadFileMetrics additionally emitting "graph.parse"
-// and "graph.build" spans onto tr's main timeline row. Either observer
-// may be nil.
-func LoadFileObserved(path string, mc *metrics.Collector, tr *trace.Tracer) (*CSR, error) {
+// adjacency files, and anything else is parsed as a text edge list. It
+// records a "graph.parse" phase into mc and span onto tr for reading and
+// decoding the input, plus a "graph.build" phase and span for CSR
+// construction from an edge list (the binary and METIS formats decode
+// straight into a CSR). Either observer may be nil.
+func LoadFile(path string, mc *metrics.Collector, tr *trace.Tracer) (*CSR, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err

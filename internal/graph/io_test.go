@@ -8,6 +8,9 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"cncount/internal/metrics"
+	"cncount/internal/trace"
 )
 
 func TestReadEdgeList(t *testing.T) {
@@ -94,7 +97,7 @@ func TestLoadSaveFile(t *testing.T) {
 	if err := SaveFile(binPath, g); err != nil {
 		t.Fatalf("SaveFile(bin): %v", err)
 	}
-	g2, err := LoadFile(binPath)
+	g2, err := LoadFile(binPath, nil, nil)
 	if err != nil {
 		t.Fatalf("LoadFile(bin): %v", err)
 	}
@@ -106,7 +109,7 @@ func TestLoadSaveFile(t *testing.T) {
 	if err := SaveFile(txtPath, g); err != nil {
 		t.Fatalf("SaveFile(txt): %v", err)
 	}
-	g3, err := LoadFile(txtPath)
+	g3, err := LoadFile(txtPath, nil, nil)
 	if err != nil {
 		t.Fatalf("LoadFile(txt): %v", err)
 	}
@@ -115,8 +118,59 @@ func TestLoadSaveFile(t *testing.T) {
 	}
 }
 
+// TestLoadFileDispatchesByExtension writes one graph in every format
+// LoadFile dispatches on and loads each back with both observers: the CSR
+// must round-trip, every format records a graph.parse phase and span, and
+// only the edge list (which must be built into a CSR) records graph.build.
+func TestLoadFileDispatchesByExtension(t *testing.T) {
+	g := mustGraph(t, 4, testEdges)
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		file  string
+		build bool
+	}{
+		{"g.bin", false},
+		{"g.metis", false},
+		{"g.graph", false},
+		{"g.txt", true},
+	} {
+		t.Run(tc.file, func(t *testing.T) {
+			path := filepath.Join(dir, tc.file)
+			if err := SaveFile(path, g); err != nil {
+				t.Fatalf("SaveFile: %v", err)
+			}
+			mc, tr := metrics.New(), trace.New()
+			got, err := LoadFile(path, mc, tr)
+			if err != nil {
+				t.Fatalf("LoadFile: %v", err)
+			}
+			if !reflect.DeepEqual(got.Off, g.Off) || !reflect.DeepEqual(got.Dst, g.Dst) {
+				t.Errorf("loaded CSR %v/%v, want %v/%v", got.Off, got.Dst, g.Off, g.Dst)
+			}
+			var buf bytes.Buffer
+			if err := tr.WriteJSON(&buf); err != nil {
+				t.Fatal(err)
+			}
+			_, spans, err := trace.SpanCount(buf.Bytes())
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap := mc.Snapshot()
+			for _, stage := range []string{"graph.parse", "graph.build"} {
+				want := stage == "graph.parse" || tc.build
+				if _, ok := snap.Phase(stage); ok != want {
+					t.Errorf("%s phase recorded = %v, want %v", stage, ok, want)
+				}
+				if got := spans[stage] > 0; got != want {
+					t.Errorf("%s span recorded = %v, want %v", stage, got, want)
+				}
+			}
+		})
+	}
+}
+
 func TestLoadFileMissing(t *testing.T) {
-	if _, err := LoadFile(filepath.Join(t.TempDir(), "nope.txt")); err == nil {
+	if _, err := LoadFile(filepath.Join(t.TempDir(), "nope.txt"), nil, nil); err == nil {
 		t.Error("LoadFile on missing path succeeded")
 	}
 }

@@ -17,22 +17,17 @@ import (
 //
 // The paper reports its whole preprocessing (including the
 // degree-descending remap) takes under 3 seconds on billion-edge graphs;
-// this is the corresponding parallel build path.
-func FromEdgesParallel(numVertices int, edges []Edge, workers int) (*CSR, error) {
-	return FromEdgesParallelMetrics(numVertices, edges, workers, nil)
-}
-
-// FromEdgesParallelMetrics is FromEdgesParallel recording one phase
-// duration per build stage into mc ("graph.build.validate", ".degree",
-// ".scatter", ".sort_dedup", ".compact"). A nil collector records nothing.
-func FromEdgesParallelMetrics(numVertices int, edges []Edge, workers int, mc *metrics.Collector) (*CSR, error) {
+// this is the corresponding parallel build path. One phase duration per
+// build stage is recorded into mc ("graph.build.validate", ".degree",
+// ".scatter", ".sort_dedup", ".compact"); a nil collector records nothing.
+func FromEdgesParallel(numVertices int, edges []Edge, workers int, mc *metrics.Collector) (*CSR, error) {
 	if err := checkVertexCount(numVertices); err != nil {
 		return nil, err
 	}
 	stop := mc.StartPhase("graph.build.validate")
 	var bad atomic.Int64
 	bad.Store(-1)
-	sched.Static(int64(len(edges)), workers, func(_ int, lo, hi int64) {
+	sched.Run(int64(len(edges)), 0, workers, sched.Obs{}, func(_ int, lo, hi int64) {
 		for i := lo; i < hi; i++ {
 			e := edges[i]
 			if int(e.U) >= numVertices || int(e.V) >= numVertices {
@@ -50,7 +45,7 @@ func FromEdgesParallelMetrics(numVertices int, edges []Edge, workers int, mc *me
 	// Phase 1: degrees, with atomic increments (both directions).
 	stop = mc.StartPhase("graph.build.degree")
 	deg := make([]int64, numVertices)
-	sched.Static(int64(len(edges)), workers, func(_ int, lo, hi int64) {
+	sched.Run(int64(len(edges)), 0, workers, sched.Obs{}, func(_ int, lo, hi int64) {
 		for i := lo; i < hi; i++ {
 			e := edges[i]
 			if e.U == e.V {
@@ -73,7 +68,7 @@ func FromEdgesParallelMetrics(numVertices int, edges []Edge, workers int, mc *me
 	cursor := make([]int64, numVertices)
 	copy(cursor, off[:numVertices])
 	dst := make([]VertexID, off[numVertices])
-	sched.Static(int64(len(edges)), workers, func(_ int, lo, hi int64) {
+	sched.Run(int64(len(edges)), 0, workers, sched.Obs{}, func(_ int, lo, hi int64) {
 		for i := lo; i < hi; i++ {
 			e := edges[i]
 			if e.U == e.V {
@@ -89,7 +84,7 @@ func FromEdgesParallelMetrics(numVertices int, edges []Edge, workers int, mc *me
 	// degrees.
 	stop = mc.StartPhase("graph.build.sort_dedup")
 	newDeg := make([]int64, numVertices)
-	sched.Dynamic(int64(numVertices), 256, workers, func(_ int, lo, hi int64) {
+	sched.Run(int64(numVertices), 256, workers, sched.Obs{}, func(_ int, lo, hi int64) {
 		for ui := lo; ui < hi; ui++ {
 			row := dst[off[ui]:off[ui+1]]
 			sort.Slice(row, func(i, j int) bool { return row[i] < row[j] })
@@ -113,7 +108,7 @@ func FromEdgesParallelMetrics(numVertices int, edges []Edge, workers int, mc *me
 		finalOff[u+1] = finalOff[u] + newDeg[u]
 	}
 	finalDst := make([]VertexID, finalOff[numVertices])
-	sched.Dynamic(int64(numVertices), 256, workers, func(_ int, lo, hi int64) {
+	sched.Run(int64(numVertices), 256, workers, sched.Obs{}, func(_ int, lo, hi int64) {
 		for ui := lo; ui < hi; ui++ {
 			copy(finalDst[finalOff[ui]:finalOff[ui+1]], dst[off[ui]:off[ui]+newDeg[ui]])
 		}

@@ -17,7 +17,7 @@ func TestFromEdgesParallelMatchesSequential(t *testing.T) {
 			return false
 		}
 		for _, workers := range []int{1, 4} {
-			got, err := FromEdgesParallel(n, edges, workers)
+			got, err := FromEdgesParallel(n, edges, workers, nil)
 			if err != nil {
 				return false
 			}
@@ -33,13 +33,13 @@ func TestFromEdgesParallelMatchesSequential(t *testing.T) {
 }
 
 func TestFromEdgesParallelValidation(t *testing.T) {
-	if _, err := FromEdgesParallel(-1, nil, 2); err == nil {
+	if _, err := FromEdgesParallel(-1, nil, 2, nil); err == nil {
 		t.Error("negative vertex count accepted")
 	}
-	if _, err := FromEdgesParallel(2, []Edge{{0, 5}}, 2); err == nil {
+	if _, err := FromEdgesParallel(2, []Edge{{0, 5}}, 2, nil); err == nil {
 		t.Error("out-of-range edge accepted")
 	}
-	g, err := FromEdgesParallel(3, nil, 2)
+	g, err := FromEdgesParallel(3, nil, 2, nil)
 	if err != nil {
 		t.Fatalf("empty edge list: %v", err)
 	}
@@ -50,7 +50,7 @@ func TestFromEdgesParallelValidation(t *testing.T) {
 
 func TestFromEdgesParallelSelfLoopsAndDuplicates(t *testing.T) {
 	edges := []Edge{{0, 1}, {1, 0}, {0, 1}, {2, 2}, {1, 2}, {1, 2}}
-	g, err := FromEdgesParallel(3, edges, 3)
+	g, err := FromEdgesParallel(3, edges, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

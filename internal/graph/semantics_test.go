@@ -76,7 +76,7 @@ func TestBuildSemantics(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			par, err := FromEdgesParallel(n, edges, 4)
+			par, err := FromEdgesParallel(n, edges, 4, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -209,8 +209,8 @@ type paddedTally struct {
 
 // SchedRecorder collects per-worker tallies and a task-duration histogram
 // for one scheduler invocation. A nil recorder records nothing; obtain one
-// from Collector.SchedRecorder and pass it to the sched.*Recorded entry
-// points, then Commit it after the join.
+// from Collector.SchedRecorder and pass it to sched.Run as Obs.Rec, then
+// Commit it after the join.
 type SchedRecorder struct {
 	c       *Collector
 	scope   string
@@ -292,7 +292,7 @@ type SchedSnapshot struct {
 	TaskNanos HistogramSnapshot `json:"task_nanos"`
 	// Steals and StealNanos aggregate the per-worker steal tallies: how
 	// many ranges moved between deques and how long the hunts took. Zero
-	// for non-stealing schedulers (Static, Guided) and balanced runs.
+	// for balanced runs.
 	Steals     uint64 `json:"steals,omitempty"`
 	StealNanos uint64 `json:"steal_nanos,omitempty"`
 }

@@ -89,7 +89,7 @@ func Run(g *graph.CSR, p Params) (*Result, error) {
 	// indexed by edge offset (both directions filled).
 	epsEdge := make([]bool, numE)
 	checks := make([]int64, sched.Workers(p.Workers)*8)
-	sched.Dynamic(int64(n), 64, p.Workers, func(worker int, lo, hi int64) {
+	sched.Run(int64(n), 64, p.Workers, sched.Obs{}, func(worker int, lo, hi int64) {
 		var local int64
 		for ui := lo; ui < hi; ui++ {
 			u := graph.VertexID(ui)
@@ -146,7 +146,7 @@ func FromCounts(g *graph.CSR, counts []uint32, p Params) (*Result, error) {
 	}
 	n := g.NumVertices()
 	epsEdge := make([]bool, g.NumEdges())
-	sched.Dynamic(int64(n), 256, p.Workers, func(_ int, lo, hi int64) {
+	sched.Run(int64(n), 256, p.Workers, sched.Obs{}, func(_ int, lo, hi int64) {
 		for ui := lo; ui < hi; ui++ {
 			u := graph.VertexID(ui)
 			du := g.Degree(u)

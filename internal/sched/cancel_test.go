@@ -24,20 +24,20 @@ func waitGoroutines(t *testing.T, want int) {
 	t.Fatalf("goroutines leaked: %d alive, want <= %d", runtime.NumGoroutine(), want)
 }
 
-// TestDynamicNilContextCompletes pins the no-context contract: plain and
-// Observed-with-nil-Ctx regions run the full range and return nil.
+// TestDynamicNilContextCompletes pins the no-context contract: regions with
+// no Ctx or an uncancelable one run the full range and return nil.
 func TestDynamicNilContextCompletes(t *testing.T) {
 	const n = 10_000
 	var done atomic.Int64
-	if err := Dynamic(n, 64, 4, func(_ int, lo, hi int64) { done.Add(hi - lo) }); err != nil {
-		t.Fatalf("Dynamic: %v", err)
+	if err := Run(n, 64, 4, Obs{}, func(_ int, lo, hi int64) { done.Add(hi - lo) }); err != nil {
+		t.Fatalf("Run: %v", err)
 	}
 	if done.Load() != n {
 		t.Fatalf("processed %d units, want %d", done.Load(), n)
 	}
 	done.Store(0)
-	if err := DynamicObserved(n, 64, 4, Obs{Ctx: context.Background()}, func(_ int, lo, hi int64) { done.Add(hi - lo) }); err != nil {
-		t.Fatalf("DynamicObserved(Background): %v", err)
+	if err := Run(n, 64, 4, Obs{Ctx: context.Background()}, func(_ int, lo, hi int64) { done.Add(hi - lo) }); err != nil {
+		t.Fatalf("Run(Background): %v", err)
 	}
 	if done.Load() != n {
 		t.Fatalf("processed %d units, want %d", done.Load(), n)
@@ -51,7 +51,7 @@ func TestDynamicPreCanceledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var calls atomic.Int64
-	err := DynamicObserved(1000, 64, 4, Obs{Ctx: ctx, Scope: "test"}, func(_ int, lo, hi int64) { calls.Add(1) })
+	err := Run(1000, 64, 4, Obs{Ctx: ctx, Scope: "test"}, func(_ int, lo, hi int64) { calls.Add(1) })
 	var ce *CancelError
 	if !errors.As(err, &ce) {
 		t.Fatalf("err = %v, want *CancelError", err)
@@ -81,7 +81,7 @@ func TestDynamicCanceledMidRun(t *testing.T) {
 	defer cancel()
 	seen := make([]atomic.Int32, n)
 	var done atomic.Int64
-	err := DynamicObserved(n, taskSize, workers, Obs{Ctx: ctx, Scope: "mid"}, func(_ int, lo, hi int64) {
+	err := Run(n, taskSize, workers, Obs{Ctx: ctx, Scope: "mid"}, func(_ int, lo, hi int64) {
 		cancel() // first task (of any worker) pulls the plug
 		for i := lo; i < hi; i++ {
 			seen[i].Add(1)
@@ -114,7 +114,7 @@ func TestDynamicCanceledMidRun(t *testing.T) {
 func TestDynamicDeadlineExceeded(t *testing.T) {
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	err := DynamicObserved(1000, 64, 4, Obs{Ctx: ctx}, func(_ int, _, _ int64) {})
+	err := Run(1000, 64, 4, Obs{Ctx: ctx}, func(_ int, _, _ int64) {})
 	if !errors.Is(err, ErrDeadline) || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want ErrDeadline/context.DeadlineExceeded", err)
 	}
@@ -130,7 +130,7 @@ func TestSequentialCanceledMidRun(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var done int64
-	err := DynamicObserved(n, 100, 1, Obs{Ctx: ctx}, func(_ int, lo, hi int64) {
+	err := Run(n, 100, 1, Obs{Ctx: ctx}, func(_ int, lo, hi int64) {
 		cancel()
 		done += hi - lo
 	})
@@ -143,33 +143,13 @@ func TestSequentialCanceledMidRun(t *testing.T) {
 	}
 }
 
-// TestGuidedCanceledMidRun: the CAS-cursor scheduler stops claiming once
-// the context fires.
-func TestGuidedCanceledMidRun(t *testing.T) {
-	const n = 1 << 16
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var done atomic.Int64
-	err := GuidedObserved(n, 64, 4, Obs{Ctx: ctx}, func(_ int, lo, hi int64) {
-		cancel()
-		done.Add(hi - lo)
-		time.Sleep(200 * time.Microsecond)
-	})
-	var ce *CancelError
-	if !errors.As(err, &ce) {
-		t.Fatalf("err = %v, want *CancelError", err)
-	}
-	if done.Load() > n-ce.RemainingUnits {
-		t.Errorf("done %d exceeds claimed %d", done.Load(), n-ce.RemainingUnits)
-	}
-}
-
-// TestStaticCanceled: pre-canceled static regions skip every slab.
+// TestStaticCanceled: a pre-canceled region of one slab per worker skips
+// every slab.
 func TestStaticCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var calls atomic.Int64
-	err := StaticObserved(1000, 4, Obs{Ctx: ctx}, func(_ int, _, _ int64) { calls.Add(1) })
+	err := Run(1000, 250, 4, Obs{Ctx: ctx}, func(_ int, _, _ int64) { calls.Add(1) })
 	var ce *CancelError
 	if !errors.As(err, &ce) {
 		t.Fatalf("err = %v, want *CancelError", err)
@@ -190,7 +170,7 @@ func TestCanceledRunKeepsObservers(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	prog := NewProgress()
-	err := DynamicObserved(n, 128, 4, Obs{Ctx: ctx, Prog: prog, Scope: "obs"}, func(_ int, lo, hi int64) {
+	err := Run(n, 128, 4, Obs{Ctx: ctx, Prog: prog, Scope: "obs"}, func(_ int, lo, hi int64) {
 		cancel()
 		time.Sleep(200 * time.Microsecond)
 	})

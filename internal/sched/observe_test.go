@@ -19,7 +19,7 @@ func TestQueueWaitPlusRunWithinWall(t *testing.T) {
 	rec := mc.SchedRecorder("test", workers)
 	var units atomic.Int64
 	start := time.Now()
-	DynamicObserved(n, 64, workers, Obs{Rec: rec}, func(_ int, lo, hi int64) {
+	Run(n, 64, workers, Obs{Rec: rec}, func(_ int, lo, hi int64) {
 		for i := lo; i < hi; i++ {
 			units.Add(1)
 		}
@@ -59,7 +59,7 @@ func TestQueueWaitPlusRunWithinWall(t *testing.T) {
 func TestObservedEmitsSpansPerWorker(t *testing.T) {
 	const n, workers = 1 << 12, 3
 	tr := trace.New()
-	DynamicObserved(n, 128, workers, Obs{Trace: tr, Scope: "test.dyn"}, func(_ int, lo, hi int64) {
+	Run(n, 128, workers, Obs{Trace: tr, Scope: "test.dyn"}, func(_ int, lo, hi int64) {
 		time.Sleep(time.Microsecond) // keep every worker claiming tasks
 	})
 
@@ -94,7 +94,7 @@ func TestObservedEmitsSpansPerWorker(t *testing.T) {
 func TestObservedStarvedWorkerStillTraced(t *testing.T) {
 	const workers = 4
 	tr := trace.New()
-	DynamicObserved(1, 1, workers, Obs{Trace: tr, Scope: "test.starve"}, func(_ int, lo, hi int64) {})
+	Run(1, 1, workers, Obs{Trace: tr, Scope: "test.starve"}, func(_ int, lo, hi int64) {})
 
 	var buf bytes.Buffer
 	if err := tr.WriteJSON(&buf); err != nil {
@@ -121,20 +121,18 @@ func TestObservedStarvedWorkerStillTraced(t *testing.T) {
 }
 
 // TestObservedSequentialAndStatic covers the workers == 1 fast path and
-// the static scheduler: both must tally waits and emit spans.
+// a one-slab-per-worker region (taskSize ⌈n/workers⌉, nothing to steal):
+// both must tally waits and emit spans.
 func TestObservedSequentialAndStatic(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		run  func(obs Obs)
 	}{
 		{"sequential", func(obs Obs) {
-			DynamicObserved(100, 10, 1, obs, func(_ int, lo, hi int64) {})
+			Run(100, 10, 1, obs, func(_ int, lo, hi int64) {})
 		}},
 		{"static", func(obs Obs) {
-			StaticObserved(100, 2, obs, func(_ int, lo, hi int64) {})
-		}},
-		{"guided", func(obs Obs) {
-			GuidedObserved(100, 4, 2, obs, func(_ int, lo, hi int64) {})
+			Run(100, 50, 2, obs, func(_ int, lo, hi int64) {})
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

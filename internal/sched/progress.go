@@ -67,8 +67,8 @@ type Progress struct {
 func NewProgress() *Progress { return &Progress{} }
 
 // Begin resets the source for a region of `total` units run by `workers`
-// workers under the given scope name. Called by the scheduler entry points
-// before any worker starts.
+// workers under the given scope name. Called by Run before any worker
+// starts.
 func (p *Progress) Begin(scope string, total int64, workers int) {
 	if p == nil {
 		return

@@ -206,9 +206,9 @@ func TestProgressConcurrentSample(t *testing.T) {
 	wg.Wait()
 }
 
-// TestSchedulersDriveProgress checks the Observed entry points feed an
-// attached Progress: after a run the region is inactive with zero
-// remaining and the scope matches Obs.Scope.
+// TestSchedulersDriveProgress checks Run feeds an attached Progress on
+// the dynamic, one-slab-per-worker and sequential paths: after a run the
+// region is inactive with zero remaining and the scope matches Obs.Scope.
 func TestSchedulersDriveProgress(t *testing.T) {
 	const n = 10_000
 	type body = func(worker int, lo, hi int64)
@@ -216,10 +216,9 @@ func TestSchedulersDriveProgress(t *testing.T) {
 		name string
 		run  func(obs Obs, b body)
 	}{
-		{"dynamic", func(obs Obs, b body) { DynamicObserved(n, 64, 4, obs, b) }},
-		{"guided", func(obs Obs, b body) { GuidedObserved(n, 64, 4, obs, b) }},
-		{"static", func(obs Obs, b body) { StaticObserved(n, 4, obs, b) }},
-		{"sequential", func(obs Obs, b body) { DynamicObserved(n, 64, 1, obs, b) }},
+		{"dynamic", func(obs Obs, b body) { Run(n, 64, 4, obs, b) }},
+		{"static", func(obs Obs, b body) { Run(n, n/4, 4, obs, b) }},
+		{"sequential", func(obs Obs, b body) { Run(n, 64, 1, obs, b) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := NewProgress()

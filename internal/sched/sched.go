@@ -7,7 +7,7 @@
 // what makes the stashed-source-vertex and thread-local bitmap
 // amortizations work).
 //
-// Dynamic is implemented as a work-stealing scheduler rather than the
+// Run is implemented as a work-stealing scheduler rather than the
 // shared-cursor claim loop the OpenMP clause suggests: a single atomic
 // cursor puts every task claim of every worker on one contended cache
 // line. Instead, each worker owns a deque of contiguous index ranges
@@ -21,15 +21,6 @@
 // |T|-granular task stream with the same worker-local-context guarantees,
 // minus the shared claim line and minus the cold-start of processing a
 // stranger's CSR region.
-//
-// Each scheduler has a *Recorded variant that tallies per-worker
-// tasks-claimed / units-processed / busy-time / steals into a
-// metrics.SchedRecorder, the substrate for the per-worker load-balance
-// breakdowns of the evaluation, and an *Observed variant that additionally
-// (or instead) emits one trace span per task — split into queue-wait
-// (submit→start) and run time, plus one span per successful steal — onto
-// the worker's timeline row. The plain entry points pass an empty observer
-// and keep the uninstrumented hot loop.
 package sched
 
 import (
@@ -108,18 +99,18 @@ func (b *panicBox) rethrow() {
 	}
 }
 
-// Obs bundles the per-region observers and controls a scheduler threads
-// into its workers: a metrics recorder (tallies + task histogram), a
-// tracer (one span per task on the worker's timeline row), the span name
-// to emit, and the cancellation context. The zero Obs observes nothing,
-// can never be canceled, and keeps the uninstrumented loop.
+// Obs bundles the per-region observers and controls Run threads into its
+// workers: a metrics recorder (tallies + task histogram), a tracer (one
+// span per task on the worker's timeline row), the span name to emit, and
+// the cancellation context. The zero Obs observes nothing, can never be
+// canceled, and keeps the uninstrumented loop.
 type Obs struct {
 	// Ctx, when non-nil, cooperatively cancels the region: workers check
 	// it at task-pop and steal boundaries (via one shared atomic flag, so
 	// the hot path never selects on a channel), stop claiming, and join;
-	// the entry point then returns a *CancelError carrying the
-	// unprocessed-unit count. A nil Ctx (or one that can never be
-	// canceled) costs one nil check per task.
+	// Run then returns a *CancelError carrying the unprocessed-unit
+	// count. A nil Ctx (or one that can never be canceled) costs one nil
+	// check per task.
 	Ctx context.Context
 	// Rec receives per-worker tallies and the task-duration histogram;
 	// nil records nothing.
@@ -171,10 +162,10 @@ func (wo *workerObs) active() bool {
 }
 
 // lifetime opens the worker's region-lifetime span (Scope+".worker"),
-// closed when the worker exits the region. Claim-based schedulers emit it
-// so every sched worker contributes at least one span to its timeline row
-// even when a short range is fully consumed before a late-starting worker
-// runs anything. Returns a no-op when tracing is disabled.
+// closed when the worker exits the region. Run emits it so every sched
+// worker contributes at least one span to its timeline row even when a
+// short range is fully consumed before a late-starting worker runs
+// anything. Returns a no-op when tracing is disabled.
 func (wo *workerObs) lifetime() func() {
 	if wo.ring == nil {
 		return func() {}
@@ -391,13 +382,21 @@ func (s *wsRun) runWorker(worker int, wo workerObs, body func(worker int, lo, hi
 	}
 }
 
-// Dynamic runs body over the half-open range [0, n) split into tasks of at
-// most taskSize units executed by `workers` goroutines under the
-// work-stealing scheduler. body(worker, lo, hi) processes [lo, hi); the
-// worker index is stable for the lifetime of the call, so worker-indexed
-// state is goroutine-local. Workers start on a contiguous slab of the
-// range (ascending order, adjacent CSR regions) and steal from the
-// fullest victim when their slab drains.
+// Run runs body over the half-open range [0, n) split into tasks of at
+// most taskSize units (< 1 means DefaultTaskSize) executed by `workers`
+// goroutines (< 1 means GOMAXPROCS) under the work-stealing scheduler.
+// body(worker, lo, hi) processes [lo, hi); the worker index is stable for
+// the lifetime of the call, so worker-indexed state is goroutine-local.
+// Workers start on a contiguous slab of the range (ascending order,
+// adjacent CSR regions) and steal from the fullest victim when their slab
+// drains; a taskSize of at least ⌈n/workers⌉ makes each slab one task,
+// OpenMP's static schedule.
+//
+// obs observes the region: metrics tallies (tasks, units, busy and
+// queue-wait time, steals) and the task-duration histogram, one trace
+// span per task with its queue-wait split plus one per successful steal,
+// and live progress. The zero Obs observes nothing and keeps the
+// uninstrumented loop.
 //
 // A panic in any worker is captured and re-panicked in the caller's
 // goroutine after all workers stop, wrapped in *PanicError; the surviving
@@ -405,27 +404,10 @@ func (s *wsRun) runWorker(worker int, wo workerObs, body func(worker int, lo, hi
 // drained by thieves, so no index is lost).
 //
 // The returned error is nil unless the region was canceled through
-// Obs.Ctx, in which case it is a *CancelError; the plain entry points
-// attach no context and always return nil.
-func Dynamic(n int64, taskSize, workers int, body func(worker int, lo, hi int64)) error {
-	return DynamicObserved(n, taskSize, workers, Obs{}, body)
-}
-
-// DynamicRecorded is Dynamic with per-worker metrics: each executed task
-// adds to the worker's tally (tasks, units, busy and queue-wait time,
-// steals) and to the recorder's task-duration histogram. A nil recorder
-// records nothing and keeps the uninstrumented loop.
-func DynamicRecorded(n int64, taskSize, workers int, rec *metrics.SchedRecorder, body func(worker int, lo, hi int64)) error {
-	return DynamicObserved(n, taskSize, workers, Obs{Rec: rec}, body)
-}
-
-// DynamicObserved is Dynamic observed by obs: metrics tallies and/or one
-// trace span per task with its queue-wait split, plus one steal span per
-// successful steal, with cooperative cancellation through Obs.Ctx. A
-// canceled region drains cleanly — every worker stops at its next task
-// boundary, in-flight tasks run to completion, all workers join — and a
-// *CancelError reporting the unprocessed units is returned.
-func DynamicObserved(n int64, taskSize, workers int, obs Obs, body func(worker int, lo, hi int64)) error {
+// Obs.Ctx: a canceled region drains cleanly — every worker stops at its
+// next task boundary, in-flight tasks run to completion, all workers
+// join — and a *CancelError reporting the unprocessed units is returned.
+func Run(n int64, taskSize, workers int, obs Obs, body func(worker int, lo, hi int64)) error {
 	if n <= 0 {
 		return nil
 	}
@@ -469,13 +451,12 @@ func DynamicObserved(n int64, taskSize, workers int, obs Obs, body func(worker i
 	return nil
 }
 
-// runSequential is the workers == 1 fast path shared by all schedulers:
-// with no cancelable context, one body call covers the whole range on the
-// caller's goroutine (so a panic propagates unwrapped, exactly as a plain
-// loop would). With a cancelable Obs.Ctx the range is walked in chunks of
-// `chunk` units and the context polled between chunks, giving the
-// sequential path the same task-boundary cancellation granularity as the
-// parallel ones.
+// runSequential is the workers == 1 fast path: with no cancelable
+// context, one body call covers the whole range on the caller's goroutine
+// (so a panic propagates unwrapped, exactly as a plain loop would). With
+// a cancelable Obs.Ctx the range is walked in chunks of `chunk` units and
+// the context polled between chunks, giving the sequential path the same
+// task-boundary cancellation granularity as the parallel path.
 func runSequential(n, chunk int64, obs Obs, body func(worker int, lo, hi int64)) error {
 	cancellable := obs.Ctx != nil && obs.Ctx.Done() != nil
 	wo := obs.worker(0)
@@ -504,206 +485,6 @@ func runSequential(n, chunk int64, obs Obs, body func(worker int, lo, hi int64))
 		} else {
 			body(0, lo, hi)
 		}
-	}
-	return nil
-}
-
-// GuidedMaxChunk returns the first-chunk cap of the guided scheduler:
-// max(minChunk, n/(4·workers²)). Uncapped OpenMP-style guided hands the
-// first claimer remaining/(2·workers) units — on a skewed graph that one
-// task covers the heaviest prefix and straggles past the join. The cap
-// bounds any single task to a sliver of the range while still amortizing
-// claim traffic early.
-func GuidedMaxChunk(n int64, minChunk, workers int) int64 {
-	maxChunk := n / int64(4*workers*workers)
-	if maxChunk < int64(minChunk) {
-		maxChunk = int64(minChunk)
-	}
-	return maxChunk
-}
-
-// Guided runs body over [0, n) with capped guided scheduling: each worker
-// claims half of the remaining range divided by the worker count, bounded
-// by GuidedMaxChunk and shrinking toward minChunk. Claims go through a
-// lock-free CAS loop on the cursor. Compared against Dynamic in the
-// scheduling ablation benchmark: guided amortizes cursor traffic early
-// while keeping small tasks for the tail; the cap exists because the
-// uncapped variant's giant first chunks straggle when per-unit cost is
-// skewed (exactly the situation on hub-heavy graphs, which is why the
-// paper — and core — use fixed-size dynamic tasks).
-func Guided(n int64, minChunk, workers int, body func(worker int, lo, hi int64)) error {
-	return GuidedObserved(n, minChunk, workers, Obs{}, body)
-}
-
-// GuidedRecorded is Guided with per-worker metrics; see DynamicRecorded.
-func GuidedRecorded(n int64, minChunk, workers int, rec *metrics.SchedRecorder, body func(worker int, lo, hi int64)) error {
-	return GuidedObserved(n, minChunk, workers, Obs{Rec: rec}, body)
-}
-
-// GuidedObserved is Guided observed by obs; see DynamicObserved. A
-// canceled region stops claiming at the cursor, joins its workers, and
-// returns a *CancelError with the unclaimed units.
-func GuidedObserved(n int64, minChunk, workers int, obs Obs, body func(worker int, lo, hi int64)) error {
-	if n <= 0 {
-		return nil
-	}
-	if minChunk < 1 {
-		minChunk = 1
-	}
-	workers = Workers(workers)
-	if workers == 1 {
-		chunk := int64(minChunk)
-		if chunk < DefaultTaskSize {
-			chunk = DefaultTaskSize
-		}
-		return runSequential(n, chunk, obs, body)
-	}
-	if obs.Ctx != nil {
-		if err := obs.Ctx.Err(); err != nil {
-			return cancelErr(obs.Ctx, obs.Scope, n, n)
-		}
-	}
-	obs.Prog.Begin(obs.Scope, n, workers)
-	defer obs.Prog.End()
-
-	cancel := startCanceler(obs.Ctx)
-	defer cancel.finish()
-	maxChunk := GuidedMaxChunk(n, minChunk, workers)
-	var cursor atomic.Int64
-	claim := func() (lo, hi int64, ok bool) {
-		for {
-			cur := cursor.Load()
-			if cur >= n || cancel.canceled() {
-				return 0, 0, false
-			}
-			chunk := (n - cur) / int64(2*workers)
-			if chunk > maxChunk {
-				chunk = maxChunk
-			}
-			if chunk < int64(minChunk) {
-				chunk = int64(minChunk)
-			}
-			hi = cur + chunk
-			if hi > n {
-				hi = n
-			}
-			if cursor.CompareAndSwap(cur, hi) {
-				return cur, hi, true
-			}
-		}
-	}
-
-	var wg sync.WaitGroup
-	var box panicBox
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			defer box.capture()
-			wo := obs.worker(worker)
-			if wo.active() {
-				defer wo.lifetime()()
-			}
-			for {
-				var claimAt time.Time
-				if wo.active() {
-					claimAt = time.Now()
-				}
-				lo, hi, ok := claim()
-				if !ok {
-					return
-				}
-				if wo.active() {
-					start := time.Now()
-					body(worker, lo, hi)
-					wo.record(claimAt, start, time.Since(start), hi-lo)
-				} else {
-					body(worker, lo, hi)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	box.rethrow()
-	if remaining := n - cursor.Load(); cancel.canceled() && remaining > 0 {
-		return cancelErr(obs.Ctx, obs.Scope, remaining, n)
-	}
-	return nil
-}
-
-// Static runs body over [0, n) split into `workers` contiguous slabs, one
-// per worker (OpenMP static schedule). Used where dynamic scheduling buys
-// nothing (e.g. the reverse-offset assignment postprocessing).
-func Static(n int64, workers int, body func(worker int, lo, hi int64)) error {
-	return StaticObserved(n, workers, Obs{}, body)
-}
-
-// StaticRecorded is Static with per-worker metrics; see DynamicRecorded.
-func StaticRecorded(n int64, workers int, rec *metrics.SchedRecorder, body func(worker int, lo, hi int64)) error {
-	return StaticObserved(n, workers, Obs{Rec: rec}, body)
-}
-
-// StaticObserved is Static observed by obs; see DynamicObserved. The
-// queue wait of a static slab is just goroutine startup latency.
-// Cancellation granularity is one slab: a worker whose slab has not
-// started when the context fires skips it and the skipped units are
-// reported in the *CancelError; slabs already inside body run to
-// completion.
-func StaticObserved(n int64, workers int, obs Obs, body func(worker int, lo, hi int64)) error {
-	if n <= 0 {
-		return nil
-	}
-	workers = Workers(workers)
-	if workers == 1 {
-		return runSequential(n, n, obs, body)
-	}
-	if int64(workers) > n {
-		workers = int(n)
-	}
-	if obs.Ctx != nil {
-		if err := obs.Ctx.Err(); err != nil {
-			return cancelErr(obs.Ctx, obs.Scope, n, n)
-		}
-	}
-	obs.Prog.Begin(obs.Scope, n, workers)
-	defer obs.Prog.End()
-	cancel := startCanceler(obs.Ctx)
-	defer cancel.finish()
-	var skipped atomic.Int64
-	var wg sync.WaitGroup
-	var box panicBox
-	submit := time.Now()
-	per := n / int64(workers)
-	rem := n % int64(workers)
-	lo := int64(0)
-	for w := 0; w < workers; w++ {
-		hi := lo + per
-		if int64(w) < rem {
-			hi++
-		}
-		wg.Add(1)
-		go func(worker int, lo, hi int64) {
-			defer wg.Done()
-			defer box.capture()
-			if cancel.canceled() {
-				skipped.Add(hi - lo)
-				return
-			}
-			wo := obs.worker(worker)
-			if wo.active() {
-				start := time.Now()
-				body(worker, lo, hi)
-				wo.record(submit, start, time.Since(start), hi-lo)
-			} else {
-				body(worker, lo, hi)
-			}
-		}(w, lo, hi)
-		lo = hi
-	}
-	wg.Wait()
-	box.rethrow()
-	if remaining := skipped.Load(); cancel.canceled() && remaining > 0 {
-		return cancelErr(obs.Ctx, obs.Scope, remaining, n)
 	}
 	return nil
 }

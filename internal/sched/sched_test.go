@@ -4,7 +4,6 @@ import (
 	"errors"
 	"runtime"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -23,7 +22,7 @@ func TestDynamicCoversRangeExactlyOnce(t *testing.T) {
 			taskSize = 1
 		}
 		hits := make([]int32, n)
-		Dynamic(n, taskSize, 4, func(_ int, lo, hi int64) {
+		Run(n, taskSize, 4, Obs{}, func(_ int, lo, hi int64) {
 			for i := lo; i < hi; i++ {
 				atomic.AddInt32(&hits[i], 1)
 			}
@@ -42,8 +41,8 @@ func TestDynamicCoversRangeExactlyOnce(t *testing.T) {
 
 func TestDynamicZeroAndNegative(t *testing.T) {
 	called := false
-	Dynamic(0, 10, 4, func(_ int, _, _ int64) { called = true })
-	Dynamic(-5, 10, 4, func(_ int, _, _ int64) { called = true })
+	Run(0, 10, 4, Obs{}, func(_ int, _, _ int64) { called = true })
+	Run(-5, 10, 4, Obs{}, func(_ int, _, _ int64) { called = true })
 	if called {
 		t.Error("body called for empty range")
 	}
@@ -53,7 +52,7 @@ func TestDynamicSequentialPath(t *testing.T) {
 	// workers == 1 must make exactly one call covering the whole range.
 	var calls int
 	var total int64
-	Dynamic(1000, 10, 1, func(worker int, lo, hi int64) {
+	Run(1000, 10, 1, Obs{}, func(worker int, lo, hi int64) {
 		calls++
 		total += hi - lo
 		if worker != 0 {
@@ -68,7 +67,7 @@ func TestDynamicSequentialPath(t *testing.T) {
 func TestDynamicWorkerIndexStable(t *testing.T) {
 	workers := 4
 	seen := make([]int32, workers)
-	Dynamic(10000, 16, workers, func(worker int, lo, hi int64) {
+	Run(10000, 16, workers, Obs{}, func(worker int, lo, hi int64) {
 		if worker < 0 || worker >= workers {
 			t.Errorf("worker index %d out of range", worker)
 		}
@@ -82,7 +81,7 @@ func TestDynamicDefaultTaskSize(t *testing.T) {
 	// fall below ceil(n / DefaultTaskSize).
 	n := int64(DefaultTaskSize) * 3
 	var chunks, units atomic.Int64
-	Dynamic(n, 0, 2, func(_ int, lo, hi int64) {
+	Run(n, 0, 2, Obs{}, func(_ int, lo, hi int64) {
 		chunks.Add(1)
 		units.Add(hi - lo)
 		if hi-lo > int64(DefaultTaskSize) {
@@ -111,7 +110,7 @@ func TestDynamicPanicPropagates(t *testing.T) {
 			t.Errorf("panic error %q does not mention cause", pe.Error())
 		}
 	}()
-	Dynamic(100, 10, 4, func(_ int, lo, _ int64) {
+	Run(100, 10, 4, Obs{}, func(_ int, lo, _ int64) {
 		if lo == 0 {
 			panic("boom")
 		}
@@ -124,9 +123,8 @@ var errSentinel = errors.New("sentinel failure")
 
 func TestPanicValueRoundTrips(t *testing.T) {
 	schedulers := map[string]func(body func(int, int64, int64)){
-		"dynamic": func(body func(int, int64, int64)) { Dynamic(100, 10, 4, body) },
-		"guided":  func(body func(int, int64, int64)) { Guided(100, 1, 4, body) },
-		"static":  func(body func(int, int64, int64)) { Static(100, 4, body) },
+		"dynamic": func(body func(int, int64, int64)) { Run(100, 10, 4, Obs{}, body) },
+		"static":  func(body func(int, int64, int64)) { Run(100, 25, 4, Obs{}, body) },
 	}
 	for name, run := range schedulers {
 		t.Run(name, func(t *testing.T) {
@@ -170,18 +168,20 @@ func TestPanicRuntimeErrorPreserved(t *testing.T) {
 		}
 	}()
 	var s []int
-	Dynamic(100, 10, 4, func(_ int, lo, _ int64) {
+	Run(100, 10, 4, Obs{}, func(_ int, lo, _ int64) {
 		if lo == 0 {
 			_ = s[5] // index out of range -> runtime.Error
 		}
 	})
 }
 
-func TestDynamicRecorded(t *testing.T) {
+// TestRunRecordsTallies checks an Obs{Rec} region tallies every unit and
+// every task into the recorder.
+func TestRunRecordsTallies(t *testing.T) {
 	const n, taskSize, workers = 1000, 64, 4
 	c := metrics.New()
 	rec := c.SchedRecorder("test", workers)
-	DynamicRecorded(n, taskSize, workers, rec, func(_ int, lo, hi int64) {
+	Run(n, taskSize, workers, Obs{Rec: rec}, func(_ int, lo, hi int64) {
 		for i := lo; i < hi; i++ {
 			_ = i
 		}
@@ -218,7 +218,7 @@ func TestDynamicRecorded(t *testing.T) {
 func TestRecordedSequentialPath(t *testing.T) {
 	c := metrics.New()
 	rec := c.SchedRecorder("seq", 1)
-	StaticRecorded(500, 1, rec, func(_ int, lo, hi int64) {})
+	Run(500, 0, 1, Obs{Rec: rec}, func(_ int, lo, hi int64) {})
 	rec.Commit()
 	w := c.Snapshot().Sched[0].Workers[0]
 	if w.TasksClaimed != 1 || w.UnitsProcessed != 500 {
@@ -226,92 +226,37 @@ func TestRecordedSequentialPath(t *testing.T) {
 	}
 }
 
-func TestStaticRecorded(t *testing.T) {
+// TestRecordedSlabPerWorker runs the former static schedule on the one
+// runtime: with taskSize ⌈n/workers⌉ each worker's slab is one task, so
+// the region tallies exactly one task per worker slab.
+func TestRecordedSlabPerWorker(t *testing.T) {
 	const n, workers = 1000, 4
 	c := metrics.New()
 	rec := c.SchedRecorder("static", workers)
-	StaticRecorded(n, workers, rec, func(_ int, lo, hi int64) {})
+	Run(n, (n+workers-1)/workers, workers, Obs{Rec: rec}, func(_ int, lo, hi int64) {})
 	rec.Commit()
 	sc := c.Snapshot().Sched[0]
-	var units uint64
+	var tasks, units uint64
 	for _, w := range sc.Workers {
-		if w.TasksClaimed > 1 {
-			t.Errorf("static worker claimed %d tasks, want <= 1", w.TasksClaimed)
-		}
+		tasks += w.TasksClaimed
 		units += w.UnitsProcessed
+	}
+	if tasks != workers {
+		t.Errorf("tasks = %d, want %d (one per slab)", tasks, workers)
 	}
 	if units != n {
 		t.Errorf("units = %d, want %d", units, n)
 	}
 }
 
-func TestGuidedCoversRangeExactlyOnce(t *testing.T) {
-	for _, n := range []int64{1, 10, 1000, 12345} {
-		for _, workers := range []int{1, 3, 8} {
-			hits := make([]int32, n)
-			Guided(n, 4, workers, func(_ int, lo, hi int64) {
-				for i := lo; i < hi; i++ {
-					atomic.AddInt32(&hits[i], 1)
-				}
-			})
-			for i, h := range hits {
-				if h != 1 {
-					t.Fatalf("n=%d workers=%d: index %d hit %d times", n, workers, i, h)
-				}
-			}
-		}
-	}
-}
-
-func TestGuidedChunksShrink(t *testing.T) {
-	var mu sync.Mutex
-	var sizes []int64
-	Guided(10000, 8, 4, func(_ int, lo, hi int64) {
-		mu.Lock()
-		sizes = append(sizes, hi-lo)
-		mu.Unlock()
-	})
-	var maxSize int64
-	below := 0
-	for _, s := range sizes {
-		if s > maxSize {
-			maxSize = s
-		}
-		if s < 8 {
-			below++
-		}
-	}
-	if maxSize <= 8 {
-		t.Errorf("guided chunks did not start large: max=%d", maxSize)
-	}
-	// Only the final remainder chunk may fall below minChunk.
-	if below > 1 {
-		t.Errorf("%d chunks below minChunk", below)
-	}
-}
-
-func TestGuidedPanicPropagates(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("panic did not propagate")
-		}
-	}()
-	Guided(100, 1, 4, func(_ int, _, _ int64) { panic("boom") })
-}
-
-func TestGuidedEmpty(t *testing.T) {
-	called := false
-	Guided(0, 1, 4, func(_ int, _, _ int64) { called = true })
-	if called {
-		t.Error("body called for empty range")
-	}
-}
-
+// TestStaticCoversRange covers the call shape of Run's uniform O(|E|) and
+// O(|V|) loops: the default task size at any worker count, including more
+// workers than units.
 func TestStaticCoversRange(t *testing.T) {
 	for _, n := range []int64{1, 7, 100, 1001} {
 		for _, workers := range []int{1, 3, 8, 2000} {
 			hits := make([]int32, n)
-			Static(n, workers, func(_ int, lo, hi int64) {
+			Run(n, 0, workers, Obs{}, func(_ int, lo, hi int64) {
 				for i := lo; i < hi; i++ {
 					atomic.AddInt32(&hits[i], 1)
 				}
@@ -325,13 +270,14 @@ func TestStaticCoversRange(t *testing.T) {
 	}
 }
 
+// TestStaticPanicPropagates panics inside a one-slab-per-worker region.
 func TestStaticPanicPropagates(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("panic did not propagate")
 		}
 	}()
-	Static(100, 4, func(_ int, _, _ int64) { panic("boom") })
+	Run(100, 25, 4, Obs{}, func(_ int, _, _ int64) { panic("boom") })
 }
 
 func TestWorkers(t *testing.T) {

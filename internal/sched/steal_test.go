@@ -23,7 +23,7 @@ func TestStealLocalitySeeding(t *testing.T) {
 		firstLo[w] = -1
 	}
 	var mu sync.Mutex
-	Dynamic(n, taskSize, workers, func(worker int, lo, hi int64) {
+	Run(n, taskSize, workers, Obs{}, func(worker int, lo, hi int64) {
 		mu.Lock()
 		if firstLo[worker] == -1 {
 			firstLo[worker] = lo
@@ -67,9 +67,15 @@ func TestStealStressExactlyOnce(t *testing.T) {
 		{5_000, 16, 8},
 		{20_000, 128, 5},
 		{999, 1000, 4}, // single chunk smaller than a task
+		{3, 0, 8},      // more workers than units, default task size
+		{10, 1, 16},    // more workers than units, unit tasks
+		{1000, 250, 4}, // taskSize = ⌈n/workers⌉: one task per slab
+		{1001, 500, 3}, // taskSize > ⌈n/workers⌉
 	} {
 		hits := make([]int32, tc.n)
-		Dynamic(tc.n, tc.taskSize, tc.workers, func(worker int, lo, hi int64) {
+		var calls atomic.Int64
+		Run(tc.n, tc.taskSize, tc.workers, Obs{}, func(worker int, lo, hi int64) {
+			calls.Add(1)
 			// Deterministic pseudo-random skew: some tasks are much slower,
 			// forcing the fast workers to drain and steal.
 			if lo%17 == 0 {
@@ -85,6 +91,20 @@ func TestStealStressExactlyOnce(t *testing.T) {
 					tc.n, tc.taskSize, tc.workers, i, h)
 			}
 		}
+		// A task at least as large as a slab makes every body call one
+		// whole seeded slab: thieves take a small top chunk whole, so
+		// nothing is ever split.
+		taskSize := int64(tc.taskSize)
+		if taskSize < 1 {
+			taskSize = DefaultTaskSize
+		}
+		workers := int64(tc.workers)
+		if slab := (tc.n + workers - 1) / workers; taskSize >= slab {
+			if want := min(tc.n, workers); calls.Load() != want {
+				t.Errorf("n=%d taskSize=%d workers=%d: %d body calls, want one per slab (%d)",
+					tc.n, tc.taskSize, tc.workers, calls.Load(), want)
+			}
+		}
 	}
 }
 
@@ -96,7 +116,7 @@ func TestStealSkewForcesSteals(t *testing.T) {
 	c := metrics.New()
 	rec := c.SchedRecorder("steal", workers)
 	hits := make([]int32, n)
-	DynamicRecorded(n, taskSize, workers, rec, func(worker int, lo, hi int64) {
+	Run(n, taskSize, workers, Obs{Rec: rec}, func(worker int, lo, hi int64) {
 		if lo < n/workers {
 			// Worker 0's slab: every task costs ~1ms, so the other three
 			// workers drain their slabs and come stealing.
@@ -132,7 +152,7 @@ func TestStealSkewForcesSteals(t *testing.T) {
 	}
 }
 
-// TestStealSpansEmitted checks the Observed variant emits ".steal" spans on
+// TestStealSpansEmitted checks an observed Run emits ".steal" spans on
 // the thieves' timeline rows when steals happen.
 func TestStealSpansEmitted(t *testing.T) {
 	const n, taskSize, workers = 2_000, 16, 4
@@ -140,7 +160,7 @@ func TestStealSpansEmitted(t *testing.T) {
 	tr := trace.New()
 	rec := c.SchedRecorder("steal", workers)
 	obs := Obs{Rec: rec, Trace: tr, Scope: "test.steal"}
-	DynamicObserved(n, taskSize, workers, obs, func(worker int, lo, hi int64) {
+	Run(n, taskSize, workers, obs, func(worker int, lo, hi int64) {
 		if lo < n/workers {
 			time.Sleep(500 * time.Microsecond)
 		}
@@ -183,7 +203,7 @@ func TestStealPanicMidRun(t *testing.T) {
 	}()
 	const n, taskSize, workers = 8_000, 32, 4
 	var executed atomic.Int64
-	Dynamic(n, taskSize, workers, func(worker int, lo, hi int64) {
+	Run(n, taskSize, workers, Obs{}, func(worker int, lo, hi int64) {
 		executed.Add(hi - lo)
 		if lo < n/workers {
 			time.Sleep(200 * time.Microsecond) // worker 0's slab crawls -> steals happen
@@ -195,46 +215,4 @@ func TestStealPanicMidRun(t *testing.T) {
 			panic("mid-steal boom")
 		}
 	})
-}
-
-// TestGuidedFirstChunkCapped pins the guided straggler fix: no single task
-// may exceed max(minChunk, n/(4·workers²)), so a skewed prefix can no
-// longer be handed to one worker as half the range.
-func TestGuidedFirstChunkCapped(t *testing.T) {
-	for _, tc := range []struct {
-		n        int64
-		minChunk int
-		workers  int
-	}{
-		{100_000, 8, 4},
-		{10_000, 16, 2},
-		{1_000, 1, 8},
-		{50, 64, 4}, // cap degenerates to minChunk
-	} {
-		bound := GuidedMaxChunk(tc.n, tc.minChunk, tc.workers)
-		var maxTask atomic.Int64
-		hits := make([]int32, tc.n)
-		Guided(tc.n, tc.minChunk, tc.workers, func(_ int, lo, hi int64) {
-			if sz := hi - lo; sz > maxTask.Load() {
-				maxTask.Store(sz) // racy max is fine: any observed value must obey the cap
-			}
-			if hi-lo > bound {
-				t.Errorf("n=%d minChunk=%d workers=%d: task of %d units exceeds cap %d",
-					tc.n, tc.minChunk, tc.workers, hi-lo, bound)
-			}
-			for i := lo; i < hi; i++ {
-				atomic.AddInt32(&hits[i], 1)
-			}
-		})
-		for i, h := range hits {
-			if h != 1 {
-				t.Fatalf("n=%d workers=%d: index %d hit %d times", tc.n, tc.workers, i, h)
-			}
-		}
-		// The uncapped scheduler's first chunk was n/(2·workers); make sure
-		// we stayed strictly under it whenever the cap is the binding bound.
-		if old := tc.n / int64(2*tc.workers); bound < old && maxTask.Load() > bound {
-			t.Errorf("max task %d exceeds bound %d (old first chunk %d)", maxTask.Load(), bound, old)
-		}
-	}
 }

@@ -43,7 +43,7 @@ func forward(g *graph.CSR, u graph.VertexID) []graph.VertexID {
 func MergeCount(g *graph.CSR, workers int) uint64 {
 	n := int64(g.NumVertices())
 	partial := make([]uint64, sched.Workers(workers)*8) // padded slots
-	sched.Dynamic(n, 256, workers, func(worker int, lo, hi int64) {
+	sched.Run(n, 256, workers, sched.Obs{}, func(worker int, lo, hi int64) {
 		var local uint64
 		for ui := lo; ui < hi; ui++ {
 			u := graph.VertexID(ui)
@@ -88,7 +88,7 @@ func HashCount(g *graph.CSR, workers int) uint64 {
 	w := sched.Workers(workers)
 	partial := make([]uint64, w*8)
 	sets := make([]*hashSet, w)
-	sched.Dynamic(n, 256, workers, func(worker int, lo, hi int64) {
+	sched.Run(n, 256, workers, sched.Obs{}, func(worker int, lo, hi int64) {
 		if sets[worker] == nil {
 			sets[worker] = newHashSet(64)
 		}
