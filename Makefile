@@ -91,7 +91,7 @@ perfbenchtest:
 	$(GO) -C perfbench vet ./...
 	$(GO) -C perfbench test ./...
 
-check: build test race benchsmoke calibratesmoke obssmoke chaossmoke reportsmoke servesmoke reqsmoke walsmoke perfbenchtest
+check: build test race benchsmoke calibratesmoke obssmoke chaossmoke reportsmoke servesmoke reqsmoke walsmoke perfbenchtest examples
 
 # Short fuzzing pass over every fuzz target.
 fuzz:
@@ -130,6 +130,8 @@ microbench:
 experiments:
 	$(GO) run ./cmd/experiments -experiment all
 
+# Runs every example program; examples/online exits non-zero when its
+# maintained counts diverge from a full batch recount.
 examples:
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/clustering

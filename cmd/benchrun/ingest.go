@@ -13,15 +13,17 @@ import (
 	"cncount/internal/benchfmt"
 	"cncount/internal/dynamic"
 	"cncount/internal/graph"
+	"cncount/internal/serve"
 	"cncount/internal/wal"
 )
 
 // runIngest executes the streaming-ingest benchmark matrix: for each
 // profile × worker-count cell it boots a dynamic graph from the counted
 // CSR, then drives a deterministic stream of edge-mutation batches
-// through the durable write path — WAL append under the configured
-// fsync policy, then the batched incremental repair — and reports
-// updates/sec alongside ns/op. The op stream is seeded per profile, so
+// through the write path cncd's /v1/update runs — serve.Ingester.Apply:
+// validate, WAL append under the configured fsync policy, batched
+// incremental repair, CSR rebuild, epoch swap — and reports updates/sec
+// alongside ns/op. The op stream is seeded per profile, so
 // every worker count and rep of a profile ingests the identical batch
 // sequence and "best of reps" compares like with like.
 func runIngest(ctx context.Context, cfg appConfig, out *errWriter, manifest cncount.Manifest, logger *slog.Logger) (*benchfmt.Report, error) {
@@ -74,7 +76,7 @@ func runIngest(ctx context.Context, cfg appConfig, out *errWriter, manifest cnco
 			cellLog.Info("cell started", "batches", cfg.batches, "batch_ops", cfg.batchOps, "fsync", cfg.fsync)
 			var best int64
 			for rep := 0; rep < cfg.reps; rep++ {
-				elapsed, err := ingestOnce(rg, res.Counts, stream, syncPolicy, w)
+				elapsed, err := ingestOnce(ctx, rg, res.Counts, stream, syncPolicy, w)
 				if err != nil {
 					return report, fmt.Errorf("cell %s/w%d: %w", profile, w, err)
 				}
@@ -103,10 +105,10 @@ func runIngest(ctx context.Context, cfg appConfig, out *errWriter, manifest cnco
 	return report, nil
 }
 
-// ingestOnce replays one full op stream through a fresh dynamic graph
-// and a fresh WAL, returning the wall time of the durable apply loop
-// (WAL append + batched repair; setup and teardown excluded).
-func ingestOnce(rg *cncount.Graph, counts []uint32, stream [][]wal.Op, sync wal.SyncPolicy, workers int) (time.Duration, error) {
+// ingestOnce replays one full op stream through a fresh dynamic graph,
+// server, and WAL, returning the wall time of the Ingester.Apply loop
+// (setup and teardown excluded).
+func ingestOnce(ctx context.Context, rg *cncount.Graph, counts []uint32, stream [][]dynamic.Op, sync wal.SyncPolicy, workers int) (time.Duration, error) {
 	dyn, err := dynamic.FromCSR(rg, counts)
 	if err != nil {
 		return 0, err
@@ -121,13 +123,12 @@ func ingestOnce(rg *cncount.Graph, counts []uint32, stream [][]wal.Op, sync wal.
 		return 0, err
 	}
 	defer log.Close()
+	in := serve.NewIngester(serve.New(rg, "ingest", serve.Options{}), dyn, 1,
+		serve.IngestOptions{WAL: log, Workers: workers, Name: "ingest"})
 
 	start := time.Now()
 	for _, ops := range stream {
-		if _, err := log.Append(ops); err != nil {
-			return 0, err
-		}
-		if _, err := dyn.ApplyBatch(toDynamicOps(ops), workers); err != nil {
+		if _, err := in.Apply(ctx, ops); err != nil {
 			return 0, err
 		}
 	}
@@ -138,38 +139,29 @@ func ingestOnce(rg *cncount.Graph, counts []uint32, stream [][]wal.Op, sync wal.
 // ingestStream draws a deterministic stream of edge-mutation batches:
 // insert-biased random pairs, with deletes drawn from edges the stream
 // itself inserted so a delete usually has something to remove.
-func ingestStream(seed int64, numVertices, batches, batchOps int) [][]wal.Op {
+func ingestStream(seed int64, numVertices, batches, batchOps int) [][]dynamic.Op {
 	rng := rand.New(rand.NewSource(seed))
-	var inserted [][2]uint32
-	out := make([][]wal.Op, batches)
+	var inserted [][2]graph.VertexID
+	out := make([][]dynamic.Op, batches)
 	for b := range out {
-		ops := make([]wal.Op, batchOps)
+		ops := make([]dynamic.Op, batchOps)
 		for i := range ops {
 			if len(inserted) > 0 && rng.Intn(10) >= 7 {
 				j := rng.Intn(len(inserted))
 				e := inserted[j]
 				inserted = append(inserted[:j], inserted[j+1:]...)
-				ops[i] = wal.Op{Kind: wal.OpDelete, U: e[0], V: e[1]}
+				ops[i] = dynamic.Op{Kind: dynamic.OpDelete, U: e[0], V: e[1]}
 				continue
 			}
-			u := uint32(rng.Intn(numVertices))
-			v := uint32(rng.Intn(numVertices - 1))
+			u := graph.VertexID(rng.Intn(numVertices))
+			v := graph.VertexID(rng.Intn(numVertices - 1))
 			if v >= u {
 				v++
 			}
-			inserted = append(inserted, [2]uint32{u, v})
-			ops[i] = wal.Op{Kind: wal.OpInsert, U: u, V: v}
+			inserted = append(inserted, [2]graph.VertexID{u, v})
+			ops[i] = dynamic.Op{Kind: dynamic.OpInsert, U: u, V: v}
 		}
 		out[b] = ops
-	}
-	return out
-}
-
-// toDynamicOps converts a WAL batch to the dynamic graph's op type.
-func toDynamicOps(ops []wal.Op) []dynamic.Op {
-	out := make([]dynamic.Op, len(ops))
-	for i, op := range ops {
-		out[i] = dynamic.Op{Kind: dynamic.OpKind(op.Kind), U: graph.VertexID(op.U), V: graph.VertexID(op.V)}
 	}
 	return out
 }

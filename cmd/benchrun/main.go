@@ -128,7 +128,7 @@ func main() {
 	flag.StringVar(&cfg.input, "input", "", "diff mode: head BENCH_*.json (empty = run the matrix)")
 	flag.Float64Var(&cfg.threshold, "threshold", 0.10, "relative ns/edge slowdown that fails the diff")
 	flag.StringVar(&cfg.httpAddr, "http", "", "serve the observability plane (/metrics, /progress, ...) on this address while the matrix runs")
-	flag.BoolVar(&cfg.ingest, "ingest", false, "run the streaming-ingest matrix (WAL append + batched repair) instead of the counting matrix; reports updates/sec")
+	flag.BoolVar(&cfg.ingest, "ingest", false, "run the streaming-ingest matrix (the serve.Ingester write path: WAL append, batched repair, CSR rebuild, epoch swap) instead of the counting matrix; reports updates/sec")
 	flag.IntVar(&cfg.batches, "batches", 200, "ingest mode: update batches per cell")
 	flag.IntVar(&cfg.batchOps, "batchops", 64, "ingest mode: edge mutations per batch")
 	flag.StringVar(&cfg.fsync, "fsync", "batch", "ingest mode: WAL fsync policy (batch, interval, off)")

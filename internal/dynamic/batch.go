@@ -2,6 +2,7 @@ package dynamic
 
 import (
 	"fmt"
+	"slices"
 
 	"cncount/internal/graph"
 	"cncount/internal/intersect"
@@ -88,6 +89,17 @@ type BatchResult struct {
 	Repaired int
 }
 
+// edgeKey names an undirected vertex pair; ApplyBatch keys its dedup and
+// affected sets by it.
+type edgeKey struct{ u, v graph.VertexID } // u < v
+
+func key(u, v graph.VertexID) edgeKey {
+	if u > v {
+		u, v = v, u
+	}
+	return edgeKey{u, v}
+}
+
 // batchParallelMin is the affected-edge count below which the repair
 // pass stays sequential: scheduling overhead would dominate.
 const batchParallelMin = 256
@@ -155,29 +167,25 @@ func (d *Graph) ApplyBatch(ops []Op, workers int) (BatchResult, error) {
 	res.Applied = len(toggles)
 
 	// Snapshot pre-batch adjacency of every endpoint: the affected-edge
-	// scan needs old neighbor lists, and the in-place sorted
-	// insert/remove below would clobber them.
+	// scan needs old neighbor lists, and link/unlink below edit rows in
+	// place.
 	oldAdj := make(map[graph.VertexID][]graph.VertexID, 2*len(toggles))
 	for _, tg := range toggles {
 		for _, x := range [2]graph.VertexID{tg.u, tg.v} {
 			if _, ok := oldAdj[x]; !ok {
-				oldAdj[x] = append([]graph.VertexID(nil), d.adj[x]...)
+				oldAdj[x] = slices.Clone(d.adj[x])
 			}
 		}
 	}
 
-	// Mutate adjacency. Inserted pairs get a placeholder count entry
-	// immediately so HasEdge sees the final edge set during the
-	// affected scan; the repair pass overwrites the placeholder.
+	// Mutate the rows. Inserted edges are linked with a placeholder
+	// count of 0, so HasEdge sees the final edge set during the affected
+	// scan; the repair pass overwrites the placeholder.
 	for _, tg := range toggles {
 		if tg.insert {
-			d.adj[tg.u] = insertSorted(d.adj[tg.u], tg.v)
-			d.adj[tg.v] = insertSorted(d.adj[tg.v], tg.u)
-			d.counts[key(tg.u, tg.v)] = 0
+			d.link(tg.u, tg.v, 0)
 		} else {
-			d.adj[tg.u] = removeSorted(d.adj[tg.u], tg.v)
-			d.adj[tg.v] = removeSorted(d.adj[tg.v], tg.u)
-			delete(d.counts, key(tg.u, tg.v))
+			d.unlink(tg.u, tg.v)
 		}
 	}
 
@@ -217,7 +225,7 @@ func (d *Graph) ApplyBatch(ops []Op, workers int) (BatchResult, error) {
 	repair := func(lo, hi int64) {
 		for i := lo; i < hi; i++ {
 			k := keys[i]
-			vals[i] = d.countCommon(d.adj[k.u], d.adj[k.v])
+			vals[i] = intersect.MPS(d.adj[k.u], d.adj[k.v], intersect.DefaultSkewThreshold, intersect.LanesScalar)
 		}
 	}
 	workers = sched.Workers(workers)
@@ -228,49 +236,7 @@ func (d *Graph) ApplyBatch(ops []Op, workers int) (BatchResult, error) {
 			func(_ int, lo, hi int64) { repair(lo, hi) })
 	}
 	for i, k := range keys {
-		d.counts[k] = vals[i]
+		d.set(k.u, k.v, vals[i])
 	}
 	return res, nil
-}
-
-// countCommon is the count-only sibling of commonNeighbors: the same
-// skew-aware kernel choice (gallop when one list dwarfs the other,
-// merge otherwise) without materializing the intersection.
-func (d *Graph) countCommon(a, b []graph.VertexID) uint32 {
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	var c uint32
-	if intersect.Skewed(len(a), len(b), d.skewThreshold) {
-		long, short := a, b
-		if len(long) < len(short) {
-			long, short = short, long
-		}
-		off := 0
-		for _, x := range short {
-			off += intersect.LowerBound(long[off:], x)
-			if off >= len(long) {
-				break
-			}
-			if long[off] == x {
-				c++
-				off++
-			}
-		}
-		return c
-	}
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			c++
-			i++
-			j++
-		}
-	}
-	return c
 }

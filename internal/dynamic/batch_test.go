@@ -3,6 +3,7 @@ package dynamic
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"cncount/internal/graph"
@@ -38,68 +39,37 @@ func seedGraph(t *testing.T, rng *rand.Rand, v, m int) *Graph {
 	return d
 }
 
-// cloneGraph deep-copies a dynamic graph.
-func cloneGraph(d *Graph) *Graph {
-	c := New(len(d.adj))
-	for u := range d.adj {
-		c.adj[u] = append([]graph.VertexID(nil), d.adj[u]...)
+// cloneGraph deep-copies a dynamic graph through its frozen CSR.
+func cloneGraph(t *testing.T, d *Graph) *Graph {
+	t.Helper()
+	g, counts, err := d.ToCSR()
+	if err != nil {
+		t.Fatal(err)
 	}
-	for k, v := range d.counts {
-		c.counts[k] = v
+	c, err := FromCSR(g, counts)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return c
 }
 
-// requireSameState fails unless a and b have identical adjacency and
-// counts (byte-identical count values, not just triangle totals).
+// requireSameState fails unless a and b freeze to identical CSRs and
+// count arrays (byte-identical count values, not just triangle totals).
 func requireSameState(t *testing.T, a, b *Graph) {
 	t.Helper()
-	if a.NumEdges() != b.NumEdges() {
-		t.Fatalf("edge counts differ: %d vs %d", a.NumEdges(), b.NumEdges())
+	ga, ca, err := a.ToCSR()
+	if err != nil {
+		t.Fatal(err)
 	}
-	for k, av := range a.counts {
-		bv, ok := b.counts[k]
-		if !ok {
-			t.Fatalf("edge (%d,%d) missing from b", k.u, k.v)
-		}
-		if av != bv {
-			t.Fatalf("count (%d,%d): %d vs %d", k.u, k.v, av, bv)
-		}
+	gb, cb, err := b.ToCSR()
+	if err != nil {
+		t.Fatal(err)
 	}
-	for u := range a.adj {
-		if len(a.adj[u]) != len(b.adj[u]) {
-			t.Fatalf("adjacency of %d differs", u)
-		}
-		for i := range a.adj[u] {
-			if a.adj[u][i] != b.adj[u][i] {
-				t.Fatalf("adjacency of %d differs at %d", u, i)
-			}
-		}
+	if !slices.Equal(ga.Off, gb.Off) || !slices.Equal(ga.Dst, gb.Dst) {
+		t.Fatal("adjacency differs")
 	}
-}
-
-// requireCountsExact fails unless every stored count equals a brute-force
-// recount of its edge's intersection on the current adjacency.
-func requireCountsExact(t *testing.T, d *Graph) {
-	t.Helper()
-	for k, c := range d.counts {
-		var want uint32
-		a, b := d.adj[k.u], d.adj[k.v]
-		for i, j := 0, 0; i < len(a) && j < len(b); {
-			switch {
-			case a[i] < b[j]:
-				i++
-			case a[i] > b[j]:
-				j++
-			default:
-				want++
-				i++
-				j++
-			}
-		}
-		if c != want {
-			t.Fatalf("count (%d,%d) = %d, recount = %d", k.u, k.v, c, want)
-		}
+	if !slices.Equal(ca, cb) || a.NumEdges() != b.NumEdges() {
+		t.Fatalf("counts differ (%d vs %d edges)", a.NumEdges(), b.NumEdges())
 	}
 }
 
@@ -111,7 +81,7 @@ func TestApplyBatchMatchesSequential(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		v := 20 + rng.Intn(60)
 		batched := seedGraph(t, rng, v, 3*v)
-		sequential := cloneGraph(batched)
+		sequential := cloneGraph(t, batched)
 		ops := randomOps(rng, v, 1+rng.Intn(150))
 
 		workers := 1 + trial%4
@@ -131,7 +101,7 @@ func TestApplyBatchMatchesSequential(t *testing.T) {
 			}
 		}
 		requireSameState(t, batched, sequential)
-		requireCountsExact(t, batched)
+		checkAgainstBatch(t, batched)
 		if res.Applied+res.NoOps+res.Deduped != len(ops) {
 			t.Errorf("trial %d: %d applied + %d noops + %d deduped != %d ops",
 				trial, res.Applied, res.NoOps, res.Deduped, len(ops))
@@ -145,7 +115,7 @@ func TestApplyBatchParallelMatchesSequentialWorkers(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	v := 120
 	one := seedGraph(t, rng, v, 6*v)
-	many := cloneGraph(one)
+	many := cloneGraph(t, one)
 	// A batch big enough to clear batchParallelMin's affected set.
 	ops := randomOps(rng, v, 600)
 	if _, err := one.ApplyBatch(ops, 1); err != nil {
@@ -162,7 +132,7 @@ func TestApplyBatchValidation(t *testing.T) {
 	if err := d.InsertEdge(1, 2); err != nil {
 		t.Fatal(err)
 	}
-	before := cloneGraph(d)
+	before := cloneGraph(t, d)
 	cases := []struct {
 		name string
 		ops  []Op
@@ -248,7 +218,7 @@ func TestApplyBatchTriangleClosure(t *testing.T) {
 	if c, _ := d.Count(0, 1); c != 0 {
 		t.Fatalf("count(0,1) after reopen = %d, want 0", c)
 	}
-	requireCountsExact(t, d)
+	checkAgainstBatch(t, d)
 }
 
 func TestValidateOps(t *testing.T) {

@@ -21,59 +21,46 @@ package dynamic
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"cncount/internal/graph"
 	"cncount/internal/intersect"
 )
 
 // Graph is a mutable undirected graph with per-edge common neighbor counts
-// maintained across updates. Adjacency lists are kept sorted; counts are
-// stored per (min,max) vertex pair.
+// maintained across updates. The rows are the only state: adj[u] is u's
+// sorted neighbor list and cnt[u][i] the count of edge (u, adj[u][i]) —
+// the paper's cnt[e(u,v)] laid out beside its adjacency row — and both
+// directions of an edge hold the same value.
 //
 // Graph is not safe for concurrent mutation.
 type Graph struct {
-	adj    [][]graph.VertexID
-	counts map[edgeKey]uint32
-	// skewThreshold and lanes configure the per-update intersection kernel.
-	skewThreshold float64
-	lanes         int
-}
-
-type edgeKey struct{ u, v graph.VertexID } // u < v
-
-func key(u, v graph.VertexID) edgeKey {
-	if u > v {
-		u, v = v, u
-	}
-	return edgeKey{u, v}
+	adj [][]graph.VertexID
+	cnt [][]uint32
+	m   int // undirected edges
 }
 
 // New returns an empty dynamic graph over n vertices.
 func New(n int) *Graph {
-	return &Graph{
-		adj:           make([][]graph.VertexID, n),
-		counts:        make(map[edgeKey]uint32),
-		skewThreshold: intersect.DefaultSkewThreshold,
-		lanes:         intersect.LanesAVX2,
-	}
+	return &Graph{adj: make([][]graph.VertexID, n), cnt: make([][]uint32, n)}
 }
 
-// FromCSR builds a dynamic graph from a static one, computing all counts
-// with the batch kernel.
+// FromCSR builds a dynamic graph from a static one and its count array.
+// Dst and counts are copied once and cut into capacity-capped rows, so
+// later updates never write into g, counts, or a neighbouring row.
 func FromCSR(g *graph.CSR, counts []uint32) (*Graph, error) {
 	if int64(len(counts)) != g.NumEdges() {
 		return nil, fmt.Errorf("dynamic: %d counts for %d edges", len(counts), g.NumEdges())
 	}
-	d := New(g.NumVertices())
-	for u := 0; u < g.NumVertices(); u++ {
-		nu := g.Neighbors(graph.VertexID(u))
-		d.adj[u] = append([]graph.VertexID(nil), nu...)
-		for i, v := range nu {
-			if graph.VertexID(u) < v {
-				d.counts[key(graph.VertexID(u), v)] = counts[g.Off[u]+int64(i)]
-			}
-		}
+	n := g.NumVertices()
+	dst := slices.Clone(g.Dst[:g.NumEdges()])
+	cnt := slices.Clone(counts)
+	d := New(n)
+	d.m = len(dst) / 2
+	for u := 0; u < n; u++ {
+		lo, hi := g.Off[u], g.Off[u+1]
+		d.adj[u] = dst[lo:hi:hi]
+		d.cnt[u] = cnt[lo:hi:hi]
 	}
 	return d, nil
 }
@@ -82,25 +69,28 @@ func FromCSR(g *graph.CSR, counts []uint32) (*Graph, error) {
 func (d *Graph) NumVertices() int { return len(d.adj) }
 
 // NumEdges returns the undirected edge count.
-func (d *Graph) NumEdges() int { return len(d.counts) }
+func (d *Graph) NumEdges() int { return d.m }
 
 // Neighbors returns the sorted neighbor list of u (aliased; do not modify).
 func (d *Graph) Neighbors(u graph.VertexID) []graph.VertexID { return d.adj[u] }
 
 // HasEdge reports whether (u,v) is an edge.
 func (d *Graph) HasEdge(u, v graph.VertexID) bool {
-	if int(u) >= len(d.adj) || int(v) >= len(d.adj) {
-		return false
-	}
-	_, ok := d.counts[key(u, v)]
+	_, ok := d.Count(u, v)
 	return ok
 }
 
 // Count returns the common neighbor count of edge (u,v); ok is false when
 // (u,v) is not an edge.
 func (d *Graph) Count(u, v graph.VertexID) (count uint32, ok bool) {
-	c, ok := d.counts[key(u, v)]
-	return c, ok
+	if int(u) >= len(d.adj) || int(v) >= len(d.adj) {
+		return 0, false
+	}
+	i, ok := d.find(u, v)
+	if !ok {
+		return 0, false
+	}
+	return d.cnt[u][i], true
 }
 
 // checkVertices validates endpoint IDs and rejects self-loops.
@@ -125,14 +115,7 @@ func (d *Graph) InsertEdge(u, v graph.VertexID) error {
 	}
 	// Common neighbors BEFORE linking: these w gain a new common neighbor
 	// with both endpoints, and they define the new edge's own count.
-	common := d.commonNeighbors(u, v)
-	for _, w := range common {
-		d.counts[key(u, w)]++
-		d.counts[key(v, w)]++
-	}
-	d.counts[key(u, v)] = uint32(len(common))
-	d.adj[u] = insertSorted(d.adj[u], v)
-	d.adj[v] = insertSorted(d.adj[v], u)
+	d.link(u, v, uint32(d.commonNeighbors(u, v, 1)))
 	return nil
 }
 
@@ -145,107 +128,125 @@ func (d *Graph) DeleteEdge(u, v graph.VertexID) error {
 	if !d.HasEdge(u, v) {
 		return nil
 	}
-	d.adj[u] = removeSorted(d.adj[u], v)
-	d.adj[v] = removeSorted(d.adj[v], u)
+	d.unlink(u, v)
 	// Common neighbors AFTER unlinking (identical to before: u∉N(u),
 	// v∉N(v), so the removed edge never contributed to this set).
-	for _, w := range d.commonNeighbors(u, v) {
-		d.counts[key(u, w)]--
-		d.counts[key(v, w)]--
-	}
-	delete(d.counts, key(u, v))
+	d.commonNeighbors(u, v, -1)
 	return nil
 }
 
-// commonNeighbors materializes N(u) ∩ N(v) using the skew-aware kernel
-// choice of MPS: galloping when one list dwarfs the other, merging
-// otherwise.
-func (d *Graph) commonNeighbors(u, v graph.VertexID) []graph.VertexID {
+// commonNeighbors walks N(u) ∩ N(v) with the skew-aware kernel choice of
+// MPS — galloping when one row dwarfs the other, merging otherwise —
+// shifts cnt(u,w) and cnt(v,w) by delta for every common neighbor w, in
+// both rows of each edge, and returns |N(u) ∩ N(v)|.
+func (d *Graph) commonNeighbors(u, v graph.VertexID, delta int) int {
 	a, b := d.adj[u], d.adj[v]
-	if len(a) == 0 || len(b) == 0 {
-		return nil
+	n := 0
+	// hit shifts the counts of a common neighbor at a[i] == b[j].
+	hit := func(i, j int) {
+		w := a[i]
+		d.cnt[u][i] = uint32(int(d.cnt[u][i]) + delta)
+		d.cnt[v][j] = uint32(int(d.cnt[v][j]) + delta)
+		k, _ := d.find(w, u)
+		d.cnt[w][k] = d.cnt[u][i]
+		k, _ = d.find(w, v)
+		d.cnt[w][k] = d.cnt[v][j]
+		n++
 	}
-	var out []graph.VertexID
-	if intersect.Skewed(len(a), len(b), d.skewThreshold) {
-		// Pivot-skip enumeration: iterate the short list, gallop the long.
-		long, short := a, b
-		if len(long) < len(short) {
-			long, short = short, long
+	if intersect.Skewed(len(a), len(b), intersect.DefaultSkewThreshold) {
+		// Pivot-skip enumeration: iterate the short row, gallop the long.
+		if len(a) < len(b) {
+			u, v, a, b = v, u, b, a
 		}
-		off := 0
-		for _, x := range short {
-			off += intersect.LowerBound(long[off:], x)
-			if off >= len(long) {
+		i := 0
+		for j, x := range b {
+			i += intersect.LowerBound(a[i:], x)
+			if i >= len(a) {
 				break
 			}
-			if long[off] == x {
-				out = append(out, x)
-				off++
+			if a[i] == x {
+				hit(i, j)
+				i++
 			}
 		}
-		return out
+		return n
 	}
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
+	for i, j := 0, 0; i < len(a) && j < len(b); {
 		switch {
 		case a[i] < b[j]:
 			i++
 		case a[i] > b[j]:
 			j++
 		default:
-			out = append(out, a[i])
+			hit(i, j)
 			i++
 			j++
 		}
 	}
-	return out
+	return n
 }
 
 // ToCSR freezes the dynamic graph into a static CSR plus a count array
-// indexed by its edge offsets.
+// indexed by its edge offsets: a prefix sum over row lengths, then each
+// row and its counts appended in vertex order. Both arrays are freshly
+// allocated, so later updates never reach a frozen copy. The error is
+// always nil.
 func (d *Graph) ToCSR() (*graph.CSR, []uint32, error) {
-	var edges []graph.Edge
-	for k := range d.counts {
-		edges = append(edges, graph.Edge{U: k.u, V: k.v})
+	off := make([]int64, len(d.adj)+1)
+	for u, row := range d.adj {
+		off[u+1] = off[u] + int64(len(row))
 	}
-	g, err := graph.FromEdges(len(d.adj), edges)
-	if err != nil {
-		return nil, nil, err
+	dst := make([]graph.VertexID, 0, off[len(d.adj)])
+	counts := make([]uint32, 0, off[len(d.adj)])
+	for u, row := range d.adj {
+		dst = append(dst, row...)
+		counts = append(counts, d.cnt[u]...)
 	}
-	counts := make([]uint32, g.NumEdges())
-	for u := 0; u < g.NumVertices(); u++ {
-		for e := g.Off[u]; e < g.Off[u+1]; e++ {
-			counts[e] = d.counts[key(graph.VertexID(u), g.Dst[e])]
-		}
-	}
-	return g, counts, nil
+	return &graph.CSR{Off: off, Dst: dst}, counts, nil
 }
 
-// Triangles returns Σcnt/6 over the current edge set, doubling each stored
-// (u<v) count to cover both directions.
+// Triangles returns Σcnt/6 over both directions of every edge.
 func (d *Graph) Triangles() uint64 {
 	var sum uint64
-	for _, c := range d.counts {
-		sum += 2 * uint64(c)
+	for _, row := range d.cnt {
+		for _, c := range row {
+			sum += uint64(c)
+		}
 	}
 	return sum / 6
 }
 
-func insertSorted(a []graph.VertexID, v graph.VertexID) []graph.VertexID {
-	i := sort.Search(len(a), func(i int) bool { return a[i] >= v })
-	if i < len(a) && a[i] == v {
-		return a
-	}
-	a = append(a, 0)
-	copy(a[i+1:], a[i:])
-	a[i] = v
-	return a
+// find returns the position of v in u's row, or where it would be
+// inserted, and whether it is present.
+func (d *Graph) find(u, v graph.VertexID) (int, bool) {
+	row := d.adj[u]
+	i := intersect.LowerBound(row, v)
+	return i, i < len(row) && row[i] == v
 }
 
-func removeSorted(a []graph.VertexID, v graph.VertexID) []graph.VertexID {
-	i := sort.Search(len(a), func(i int) bool { return a[i] >= v })
-	if i == len(a) || a[i] != v {
-		return a
+// link adds the absent edge (u,v) to both rows with count c.
+func (d *Graph) link(u, v graph.VertexID, c uint32) {
+	for _, x := range [2][2]graph.VertexID{{u, v}, {v, u}} {
+		i, _ := d.find(x[0], x[1])
+		d.adj[x[0]] = slices.Insert(d.adj[x[0]], i, x[1])
+		d.cnt[x[0]] = slices.Insert(d.cnt[x[0]], i, c)
 	}
-	return append(a[:i], a[i+1:]...)
+	d.m++
+}
+
+// unlink removes the present edge (u,v) from both rows.
+func (d *Graph) unlink(u, v graph.VertexID) {
+	for _, x := range [2][2]graph.VertexID{{u, v}, {v, u}} {
+		i, _ := d.find(x[0], x[1])
+		d.adj[x[0]] = slices.Delete(d.adj[x[0]], i, i+1)
+		d.cnt[x[0]] = slices.Delete(d.cnt[x[0]], i, i+1)
+	}
+	d.m--
+}
+
+// set stores c as the count of the present edge (u,v) in both rows.
+func (d *Graph) set(u, v graph.VertexID, c uint32) {
+	i, _ := d.find(u, v)
+	j, _ := d.find(v, u)
+	d.cnt[u][i], d.cnt[v][j] = c, c
 }

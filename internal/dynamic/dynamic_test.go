@@ -2,6 +2,8 @@ package dynamic
 
 import (
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -9,12 +11,16 @@ import (
 	"cncount/internal/verify"
 )
 
-// checkAgainstBatch rebuilds the graph statically and compares every count.
+// checkAgainstBatch freezes the graph, validates the CSR, and compares
+// every count against a from-scratch recount.
 func checkAgainstBatch(t *testing.T, d *Graph) {
 	t.Helper()
 	g, counts, err := d.ToCSR()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if err := g.Validate(); err != nil {
+		t.Fatalf("ToCSR built an invalid CSR: %v", err)
 	}
 	if err := verify.CheckCounts(g, counts); err != nil {
 		t.Fatalf("incremental counts diverged: %v", err)
@@ -171,7 +177,7 @@ func TestPropertyRandomUpdateStream(t *testing.T) {
 			return true
 		}
 		g, counts, err := d.ToCSR()
-		if err != nil {
+		if err != nil || g.Validate() != nil {
 			return false
 		}
 		want := verify.Counts(g)
@@ -235,6 +241,9 @@ func TestAccessors(t *testing.T) {
 	if _, ok := d.Count(0, 1); ok {
 		t.Error("Count reported a nonexistent edge")
 	}
+	if _, ok := d.Count(0, 99); ok {
+		t.Error("Count reported an out-of-range edge")
+	}
 }
 
 func TestCommonNeighborsSkewBranches(t *testing.T) {
@@ -268,23 +277,65 @@ func TestCommonNeighborsSkewBranches(t *testing.T) {
 	checkAgainstBatch(t, d)
 }
 
-func TestInsertRemoveSortedHelpers(t *testing.T) {
-	a := []graph.VertexID{}
-	for _, v := range []graph.VertexID{5, 1, 3, 3, 2} {
-		a = insertSorted(a, v)
+// TestUpdatesNeverAliasFrozenArrays pins the copy boundaries of the
+// row layout: rows are edited in place, yet neither the CSR and counts
+// handed to FromCSR nor an earlier ToCSR result may ever change.
+func TestUpdatesNeverAliasFrozenArrays(t *testing.T) {
+	// A 6-cycle plus chords closing triangles 0-1-2 and 3-4-5: every
+	// count row is non-zero, and after FromCSR every row is full
+	// (len == cap) between two neighbouring rows of one block.
+	edges := []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 3, V: 4}, {U: 4, V: 5}, {U: 5, V: 0}, {U: 0, V: 2}, {U: 3, V: 5}, {U: 1, V: 4}}
+	cases := []struct {
+		name   string
+		mutate func(d *Graph) error
+	}{
+		{"InsertEdge", func(d *Graph) error { return d.InsertEdge(0, 3) }},
+		{"DeleteEdge", func(d *Graph) error { return d.DeleteEdge(1, 2) }},
+		{"ApplyBatch", func(d *Graph) error {
+			_, err := d.ApplyBatch([]Op{
+				{Kind: OpDelete, U: 0, V: 1},
+				{Kind: OpDelete, U: 3, V: 4},
+				{Kind: OpInsert, U: 2, V: 5},
+			}, 1)
+			return err
+		}},
 	}
-	want := []graph.VertexID{1, 2, 3, 5}
-	if len(a) != len(want) {
-		t.Fatalf("a = %v", a)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			g, err := graph.FromEdges(6, edges)
+			if err != nil {
+				t.Fatal(err)
+			}
+			counts := verify.Counts(g)
+			d, err := FromCSR(g, counts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			frozen, frozenCounts, err := d.ToCSR()
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantIn, wantOut := snapshot(g, counts), snapshot(frozen, frozenCounts)
+			if err := tc.mutate(d); err != nil {
+				t.Fatal(err)
+			}
+			checkAgainstBatch(t, d)
+			if got := snapshot(g, counts); !reflect.DeepEqual(got, wantIn) {
+				t.Errorf("FromCSR input changed: %+v -> %+v", wantIn, got)
+			}
+			if got := snapshot(frozen, frozenCounts); !reflect.DeepEqual(got, wantOut) {
+				t.Errorf("earlier ToCSR result changed: %+v -> %+v", wantOut, got)
+			}
+		})
 	}
-	for i := range want {
-		if a[i] != want[i] {
-			t.Fatalf("a = %v, want %v", a, want)
-		}
-	}
-	a = removeSorted(a, 3)
-	a = removeSorted(a, 99) // absent: no-op
-	if len(a) != 3 || a[0] != 1 || a[1] != 2 || a[2] != 5 {
-		t.Fatalf("after remove: %v", a)
-	}
+}
+
+// frozenArrays is a deep copy of a CSR and its count array.
+type frozenArrays struct {
+	Off      []int64
+	Dst, Cnt []uint32
+}
+
+func snapshot(g *graph.CSR, counts []uint32) frozenArrays {
+	return frozenArrays{slices.Clone(g.Off), slices.Clone(g.Dst), slices.Clone(counts)}
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"cncount"
+	"cncount/internal/intersect"
 	"cncount/internal/metrics"
 )
 
@@ -160,7 +161,7 @@ func TestTopKEndpointRanksByCommonNeighbors(t *testing.T) {
 		if i > 0 && rec.Count > got.Results[i-1].Count {
 			t.Errorf("results not count-descending at %d: %d > %d", i, rec.Count, got.Results[i-1].Count)
 		}
-		if want := intersectCount(g.Neighbors(u), g.Neighbors(rec.V)); rec.Count != want {
+		if want := intersect.Merge(g.Neighbors(u), g.Neighbors(rec.V)); rec.Count != want {
 			t.Errorf("result %d: count = %d, want %d", i, rec.Count, want)
 		}
 	}

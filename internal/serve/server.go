@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"cncount"
+	"cncount/internal/intersect"
 	"cncount/internal/metrics"
 	"cncount/internal/obs"
 	"cncount/internal/reqctx"
@@ -490,7 +491,7 @@ func (s *Server) handlePair(w http.ResponseWriter, r *http.Request, st *graphSta
 		u, v = v, u
 	}
 	return s.cached(w, r, st, fmt.Sprintf("pair:%d:%d", u, v), func() ([]byte, error) {
-		cnt := intersectCount(st.g.Neighbors(u), st.g.Neighbors(v))
+		cnt := intersect.Merge(st.g.Neighbors(u), st.g.Neighbors(v))
 		return marshalBody(map[string]any{
 			"epoch": st.epoch, "u": u, "v": v, "count": cnt,
 			"is_edge": st.g.HasEdge(u, v),
@@ -670,26 +671,6 @@ func marshalBody(v any) ([]byte, error) {
 		return nil, err
 	}
 	return append(b, '\n'), nil
-}
-
-// intersectCount is the scalar sorted-merge intersection, the reference
-// kernel the service uses for point queries (per-edge batch counting
-// has the full kernel suite; a point lookup is merge-bound anyway).
-func intersectCount(a, b []cncount.VertexID) uint32 {
-	var c uint32
-	for i, j := 0, 0; i < len(a) && j < len(b); {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			c++
-			i++
-			j++
-		}
-	}
-	return c
 }
 
 // ParseAlgo maps a CLI/query algorithm name to the Algorithm constant,
